@@ -14,8 +14,7 @@ from .linear_solver import (AbstractState, LinearVerdict, solve_linear,
 from .models import (ConstrainedFact, Model, inductive, linearize,
                      satisfies_clause, satisfies_program, violations)
 from .parser import ParseError, parse
-from .polyhedra import (DimensionMismatch, Polyhedron, entails, hull, project,
-                        sat, simplify, widen)
+from .polyhedra import DimensionMismatch, Polyhedron
 from .syntax import (Atom, Clause, PredRef, Program, Var, is_linear,
                      render_program)
 from .terms import Constraint
@@ -26,10 +25,9 @@ __all__ = [
     "AbstractState", "Atom", "Clause", "Config", "Constraint",
     "ConstrainedFact", "DerivTree", "DimensionMismatch", "LinearVerdict",
     "Model", "Node", "ParseError", "Polyhedron", "PredRef", "Program",
-    "SolveOutcome", "Var", "clause_count", "dim", "entails", "enumerate_trees",
-    "erase_indices", "height", "hull", "inductive", "is_linear", "kdim",
-    "linearize", "parse", "project", "render_program", "render_tree", "sat",
-    "satisfies_clause", "satisfies_program", "simplify", "solve",
+    "SolveOutcome", "Var", "clause_count", "dim", "enumerate_trees",
+    "erase_indices", "height", "inductive", "is_linear", "kdim",
+    "linearize", "parse", "render_program", "render_tree",
+    "satisfies_clause", "satisfies_program", "solve",
     "solve_linear", "stabilized", "step", "tree_constraint", "violations",
-    "widen",
 ]

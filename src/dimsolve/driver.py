@@ -5,7 +5,9 @@ the accumulated model until a solution is found or resources run out.
 Soundness: a Solved outcome always carries a model that passed the
 independent inductiveness re-check against the original clauses, so the
 answer never depends on the abstraction being precise.  Unknown covers both
-abstraction failures and exhausted bounds; no unsafety claim is ever made.
+abstraction failures and exhausted bounds (the deadline, the Fourier-Motzkin
+row cap and the fixpoint round cap, each with its own reason, caught
+anywhere in a level); no unsafety claim is ever made.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import time
 from dataclasses import dataclass, field
 
 from .kdim import kdim
-from .linear_solver import SolverTimeout, solve_linear
+from .linear_solver import NoFixpoint, SolverTimeout, solve_linear
 from .models import Model, inductive, linearize
+from .polyhedra import RowCapExceeded
 from .syntax import Program
 
 UNKNOWN_NOT_SOLVED = "not-solved"
 UNKNOWN_MAX_K = "max-k"
 UNKNOWN_TIMEOUT = "timeout"
+UNKNOWN_ROW_CAP = "fm-row-cap"
+UNKNOWN_NO_FIXPOINT = "no-fixpoint"
 
 
 @dataclass
@@ -56,33 +61,37 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
     k = 0
     current = kdim(p, 0)
     accumulated = Model()
-    while True:
-        began = time.monotonic()
-        try:
+    try:
+        while True:
+            began = time.monotonic()
             verdict = solve_linear(current, widen_delay=cfg.widen_delay,
                                    narrow=cfg.narrow, deadline=deadline,
                                    trace=trace)
-        except SolverTimeout:
-            return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
-        entry = {"k": k, "clauses": len(current.clauses),
-                 "solved": verdict.solved, "seconds": time.monotonic() - began}
-        stats.append(entry)
-        if trace:
-            trace(f"k={k} clauses={entry['clauses']} linear-solve="
-                  f"{'solved' if verdict.solved else 'not solved'} "
-                  f"({entry['seconds']:.2f}s)")
-        if not verdict.solved:
-            return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
-        accumulated = accumulated.union(verdict.model)
-        if inductive(accumulated, p, cfg.split_budget):
+            entry = {"k": k, "clauses": len(current.clauses),
+                     "solved": verdict.solved, "seconds": time.monotonic() - began}
+            stats.append(entry)
             if trace:
-                trace(f"k={k}: model is inductive")
-            return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
-        if trace:
-            trace(f"k={k}: model not inductive")
-        if deadline is not None and time.monotonic() > deadline:
-            return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
-        if k + 1 > cfg.max_k:
-            return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
-        current = linearize(kdim(p, k + 1), accumulated)
-        k += 1
+                trace(f"k={k} clauses={entry['clauses']} linear-solve="
+                      f"{'solved' if verdict.solved else 'not solved'} "
+                      f"({entry['seconds']:.2f}s)")
+            if not verdict.solved:
+                return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
+            accumulated = accumulated.union(verdict.model)
+            if inductive(accumulated, p, cfg.split_budget):
+                if trace:
+                    trace(f"k={k}: model is inductive")
+                return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
+            if trace:
+                trace(f"k={k}: model not inductive")
+            if deadline is not None and time.monotonic() > deadline:
+                return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
+            if k + 1 > cfg.max_k:
+                return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
+            k += 1
+            current = linearize(kdim(p, k), accumulated)
+    except SolverTimeout:
+        return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
+    except RowCapExceeded:
+        return SolveOutcome("unknown", None, UNKNOWN_ROW_CAP, k, stats)
+    except NoFixpoint:
+        return SolveOutcome("unknown", None, UNKNOWN_NO_FIXPOINT, k, stats)

@@ -15,9 +15,8 @@ Rule groups, in output order:
        H(d) :- C, Bj(d), Bi[d-1] (i != j), for each j;
    (b) a set J of children ties at dimension d-1, the rest drop to d-2:
        H(d) :- C, Bi(d-1) for i in J, Bi[d-2] otherwise, emitted when all
-       indices are defined (d >= 2 unless J covers every child).
-       ``tie_subsets="pairs"`` restricts J to two-element sets; the default
-       "all" admits every J with |J| >= 2, which is required for ties of
+       indices are defined (d >= 2 unless J covers every child).  Every J
+       with |J| >= 2 is admitted: two-element sets alone would miss ties of
        three or more equally-deep children (see the regression tests).
 3. Bookkeeping clauses H[d] :- H(e) for every predicate H, 0 <= d <= k,
    0 <= e <= d.
@@ -39,13 +38,11 @@ def _bases(p: Program) -> list[str]:
     return sorted({pred.base for pred in p.signatures})
 
 
-def kdim(p: Program, k: int, tie_subsets: str = "all") -> Program:
+def kdim(p: Program, k: int) -> Program:
     if k < 0:
         raise ValueError("dimension bound must be nonnegative")
     if any(pred.indexed for pred in p.signatures):
         raise ValueError("input program already contains indexed predicates")
-    if tie_subsets not in ("all", "pairs"):
-        raise ValueError(f"unknown tie_subsets mode {tie_subsets!r}")
 
     out: list[Clause] = []
     for c in p.clauses:
@@ -67,8 +64,7 @@ def kdim(p: Program, k: int, tie_subsets: str = "all") -> Program:
                              for i, b in enumerate(c.body))
                 out.append(Clause(0, _indexed(c.head, EXACT, d), c.constraint, body,
                                   provenance=("rule2a", c.id, d, j)))
-            sizes = (2,) if tie_subsets == "pairs" else range(2, r + 1)
-            for size in sizes:
+            for size in range(2, r + 1):
                 for J in combinations(range(r), size):
                     if size < r and d < 2:
                         continue  # some child would need a negative index
@@ -88,7 +84,7 @@ def kdim(p: Program, k: int, tie_subsets: str = "all") -> Program:
     return Program.from_clauses(out)
 
 
-def clause_count(p: Program, k: int, tie_subsets: str = "all") -> int:
+def clause_count(p: Program, k: int) -> int:
     """Closed-form size of kdim(p, k); cross-checked against the output."""
     total = 0
     for c in p.clauses:
@@ -100,13 +96,9 @@ def clause_count(p: Program, k: int, tie_subsets: str = "all") -> int:
         else:
             for d in range(1, k + 1):
                 total += r
-                if tie_subsets == "pairs":
-                    full = r * (r - 1) // 2
-                    total += full if (r == 2 or d >= 2) else 0
-                else:
-                    total += 1  # J covering every child, defined for all d >= 1
-                    if d >= 2:
-                        total += 2 ** r - 2 - r  # proper subsets of size >= 2
+                total += 1  # J covering every child, defined for all d >= 1
+                if d >= 2:
+                    total += 2 ** r - 2 - r  # proper subsets of size >= 2
     total += len(_bases(p)) * (k + 1) * (k + 2) // 2
     return total
 

@@ -51,6 +51,10 @@ class SolverTimeout(Exception):
     pass
 
 
+class NoFixpoint(RuntimeError):
+    """The Kleene iteration did not stabilize within its round cap."""
+
+
 def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     """One synchronous evaluation of all clauses against the current state."""
     new: dict[PredRef, Polyhedron] = {}
@@ -137,7 +141,7 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
             break
         state = nxt
         if rounds > max_rounds:
-            raise RuntimeError("fixpoint iteration failed to stabilize")
+            raise NoFixpoint("fixpoint iteration failed to stabilize")
     if trace:
         trace(f"fixpoint after {rounds} rounds")
     if narrow and _false_feasible(state):

@@ -10,8 +10,6 @@ Everything is exact; no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, linear_combination
 
 _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
@@ -19,6 +17,10 @@ _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class RowCapExceeded(RuntimeError):
+    """Fourier-Motzkin generated more than ``_ROW_CAP`` rows."""
 
 
 def _prune(rows: list[Constraint]) -> list[Constraint] | None:
@@ -69,7 +71,10 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 if b == 0:
                     new_rows.append(r)
                 else:
-                    new_rows.append(linear_combination([(1, r), (Fraction(-b, a), eq)], r.rel))
+                    # cross-multiply; the weight on r stays positive so an
+                    # inequality keeps its direction
+                    new_rows.append(linear_combination(
+                        [(abs(a), r), (-b if a > 0 else b, eq)], r.rel))
             rows = _prune(new_rows)
             if rows is None:
                 return None
@@ -93,7 +98,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 rel = LT if LT in (p.rel, n.rel) else LE
                 rest.append(linear_combination([(-cn, p), (cp, n)], rel))
                 if len(rest) > _ROW_CAP:
-                    raise RuntimeError("Fourier-Motzkin row cap exceeded")
+                    raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
         rows = _prune(rest)
         if rows is None:
             return None
@@ -118,10 +123,6 @@ class Polyhedron:
                 raise DimensionMismatch(f"constraint variables {sorted(bad)} not in dims")
             self.constraints = tuple(sorted(rows, key=_order_key))
             self._sat = None
-
-    @staticmethod
-    def top(dims) -> "Polyhedron":
-        return Polyhedron(dims)
 
     @staticmethod
     def bottom(dims) -> "Polyhedron":
@@ -277,28 +278,3 @@ def _decompose(constraints) -> list[Constraint]:
             out.append(c)
     return out
 
-
-# Operation-style aliases used throughout the package and the tests.
-
-def sat(c: Polyhedron) -> bool:
-    return c.sat()
-
-
-def entails(c1: Polyhedron, c2: Polyhedron) -> bool:
-    return c1.entails(c2)
-
-
-def project(c: Polyhedron, keep) -> Polyhedron:
-    return c.project(keep)
-
-
-def hull(c1: Polyhedron, c2: Polyhedron) -> Polyhedron:
-    return c1.hull(c2)
-
-
-def widen(c1: Polyhedron, c2: Polyhedron) -> Polyhedron:
-    return c1.widen(c2)
-
-
-def simplify(c: Polyhedron) -> Polyhedron:
-    return c.simplify()

@@ -100,12 +100,6 @@ class Program:
                         f"predicate {a.pred!r} used with arity {len(a.args)} and {old}")
         return Program(clauses, sigs)
 
-    def preds(self) -> list[PredRef]:
-        return list(self.signatures)
-
-    def clauses_for(self, pred: PredRef) -> list[Clause]:
-        return [c for c in self.clauses if c.head.pred == pred]
-
     def __repr__(self):
         return render_program(self)
 

@@ -1,16 +1,16 @@
 """Linear terms and atomic constraints over named integer variables.
 
 All constraints are kept in the normal form ``sum(coeff_i * var_i) + const REL 0``
-with integer coefficients reduced by their common gcd.  Exact arithmetic only:
-intermediate rational coefficients (from substitution or combination) are
-cleared back to integers before a constraint is stored.
+with integer coefficients reduced by their common gcd.  The core is
+integer-only: combinations and substitutions take integer weights, so every
+intermediate coefficient is an integer.  ``Constraint.make`` still accepts
+rational inputs and clears their denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Relations of a normalized atomic constraint.  EQ and LE are the only forms
 # produced by program normalization; LT arises transiently when constraints
@@ -30,19 +30,15 @@ class Var:
         return self.name
 
 
-def _reduce(coeffs: dict[str, Fraction | int], const: Fraction | int):
-    """Clear denominators and divide by the gcd of all numbers involved."""
-    items = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
-    const = Fraction(const)
-    denom = 1
-    for c in list(items.values()) + [const]:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+def _reduce(coeffs: dict, const):
+    """Clear denominators and divide by the gcd of all numbers involved.
+
+    Inputs are ints or rationals; ``denominator`` is 1 for an int."""
+    items = {v: c for v, c in coeffs.items() if c != 0}
+    denom = lcm(const.denominator, *(c.denominator for c in items.values()))
     ints = {v: int(c * denom) for v, c in items.items()}
     ic = int(const * denom)
-    g = 0
-    for c in ints.values():
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(ic))
+    g = gcd(ic, *ints.values())
     if g > 1:
         ints = {v: c // g for v, c in ints.items()}
         ic //= g
@@ -62,7 +58,7 @@ class Constraint:
     rel: str
 
     @staticmethod
-    def make(coeffs: dict[str, Fraction | int], const: Fraction | int, rel: str) -> "Constraint":
+    def make(coeffs: dict, const, rel: str) -> "Constraint":
         ints, ic = _reduce(coeffs, const)
         if rel == EQ and ints:
             lead = min(ints)
@@ -106,10 +102,8 @@ class Constraint:
         return Constraint.make({mapping.get(v, v): c for v, c in self.terms},
                                self.const, self.rel)
 
-    def eval_point(self, point: dict[str, Fraction | int]) -> bool:
-        val = Fraction(self.const)
-        for v, c in self.terms:
-            val += c * Fraction(point[v])
+    def eval_point(self, point: dict) -> bool:
+        val = self.const + sum(c * point[v] for v, c in self.terms)
         if self.rel == EQ:
             return val == 0
         if self.rel == LE:
@@ -147,13 +141,13 @@ def render_constraint(c: Constraint) -> str:
     return f"{lhs}{rel}{rhs_s}"
 
 
-def linear_combination(parts: list[tuple[Fraction | int, Constraint]], rel: str) -> Constraint:
-    """Nonnegative-weighted sum of constraints, used by Fourier-Motzkin."""
-    coeffs: dict[str, Fraction] = {}
-    const = Fraction(0)
+def linear_combination(parts: list[tuple[int, Constraint]], rel: str) -> Constraint:
+    """Integer-weighted sum of constraints, used by Fourier-Motzkin.  The
+    weight on every inequality must be positive, or its direction flips."""
+    coeffs: dict[str, int] = {}
+    const = 0
     for w, c in parts:
-        w = Fraction(w)
         for v, k in c.terms:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + w * k
+            coeffs[v] = coeffs.get(v, 0) + w * k
         const += w * c.const
     return Constraint.make(coeffs, const, rel)

@@ -30,6 +30,18 @@ def test_max_k_zero_unknown(capsys):
     assert "UNKNOWN max-k" in out
 
 
+@pytest.mark.parametrize("module, attr, value, reason", [
+    ("dimsolve.polyhedra", "_ROW_CAP", 0, "fm-row-cap"),
+    ("dimsolve.linear_solver", "stabilized", lambda s1, s2: False, "no-fixpoint"),
+])
+def test_resource_cap_unknown_exit_two(capsys, monkeypatch, module, attr, value, reason):
+    monkeypatch.setattr(f"{module}.{attr}", value)
+    code, out, err = run_cli([os.path.join(BENCH, "fib.pl")], capsys)
+    assert code == 2
+    assert out == f"UNKNOWN {reason}\n"
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_one(capsys):
     code, _, err = run_cli(["definitely-missing.pl"], capsys)
     assert code == 1

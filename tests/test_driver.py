@@ -1,6 +1,10 @@
 import random
 
-from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NOT_SOLVED,
+import pytest
+
+from dimsolve import linear_solver, polyhedra
+from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NO_FIXPOINT,
+                             UNKNOWN_NOT_SOLVED, UNKNOWN_ROW_CAP,
                              UNKNOWN_TIMEOUT, solve)
 from dimsolve.kdim import clause_count, kdim
 from dimsolve.models import inductive, satisfies_clause
@@ -45,6 +49,22 @@ def test_timeout():
     out = solve(parse(open("benchmarks/fib.pl").read()), Config(timeout_s=0.0))
     assert out.status == "unknown"
     assert out.reason == UNKNOWN_TIMEOUT
+
+
+# Each resource cap, forced to trip: (module, attribute, value, reason).
+CAPS = [
+    (polyhedra, "_ROW_CAP", 0, UNKNOWN_ROW_CAP),
+    (linear_solver, "stabilized", lambda s1, s2: False, UNKNOWN_NO_FIXPOINT),
+]
+
+
+@pytest.mark.parametrize("module, attr, value, reason", CAPS)
+def test_resource_caps_end_unknown(fib_bench, monkeypatch, module, attr, value, reason):
+    monkeypatch.setattr(module, attr, value)
+    out = solve(fib_bench, Config())
+    assert out.status == "unknown"
+    assert out.reason == reason
+    assert out.model is None
 
 
 def test_work_grows_with_k(fib):

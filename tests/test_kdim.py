@@ -4,8 +4,8 @@ import pytest
 
 from dimsolve.kdim import clause_count, erase_indices, kdim
 from dimsolve.parser import parse
-from dimsolve.syntax import (alpha_equal, is_linear, multiset_alpha_equal,
-                             render_program)
+from dimsolve.syntax import (Program, alpha_equal, is_linear,
+                             multiset_alpha_equal, render_program)
 
 from conftest import random_program
 
@@ -96,10 +96,17 @@ def test_erase_indices_dispatches_to_models():
     assert all(not p.indexed for p in erased.facts)
 
 
+def kdim_pairs(p, k):
+    """kdim(p, k) with rule 2b restricted to two-element tie sets: the
+    rule-2b clauses whose tie set has more than two members are dropped."""
+    return Program.from_clauses(
+        c for c in kdim(p, k).clauses
+        if not (c.provenance[0] == "rule2b" and len(c.provenance[3]) > 2))
+
+
 def test_pairs_mode_agrees_on_binary_bodies(fib):
-    # bodies of two atoms: both tie-set modes coincide
-    assert multiset_alpha_equal(kdim(fib, 2).clauses,
-                                kdim(fib, 2, tie_subsets="pairs").clauses)
+    # bodies of two atoms: both tie-set rules coincide
+    assert multiset_alpha_equal(kdim(fib, 2).clauses, kdim_pairs(fib, 2).clauses)
 
 
 TRIPLE_SRC = """\
@@ -112,7 +119,7 @@ def test_pairs_mode_misses_three_way_ties():
     """A three-child node whose children tie at the same dimension has
     dimension one more, but the two-element tie rule cannot produce it; the
     full-subset rule covers it.  Recorded as a regression, not patched away
-    silently: level-1 programs in "pairs" mode have no clause for it."""
+    silently: level-1 programs restricted to pairs have no clause for it."""
     from dimsolve.syntax import PredRef
     from dimsolve.trees import (contract_skeleton, dim, enumerate_contracted,
                                 enumerate_trees)
@@ -122,10 +129,9 @@ def test_pairs_mode_misses_three_way_ties():
                   if len(t.children) == 3)
     assert dim(triple) == 1
 
-    def contracted(mode):
-        kp = kdim(p, 1, tie_subsets=mode)
+    def contracted(kp):
         return {contract_skeleton(kp, t.skeleton())
                 for t in enumerate_contracted(kp, PredRef("s", "atmost", 1), 9)}
 
-    assert triple.skeleton() in contracted("all")
-    assert triple.skeleton() not in contracted("pairs")
+    assert triple.skeleton() in contracted(kdim(p, 1))
+    assert triple.skeleton() not in contracted(kdim_pairs(p, 1))
