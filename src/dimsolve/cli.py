@@ -22,6 +22,7 @@ from .driver import Config, SolveOutcome, solve
 from .kdim import kdim
 from .linear_solver import NonLinearProgram, solve_linear
 from .parser import ParseError, parse
+from .polyhedra import ResourceExhausted
 from .syntax import ATMOST, EXACT, ArityError, PredRef, render_program
 from .trees import dim, enumerate_trees, height, parse_tree, render_tree
 
@@ -44,7 +45,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--max-k", type=int, default=8)
     s.add_argument("--widen-delay", type=int, default=1)
     s.add_argument("--narrow", type=int, choices=(0, 1), default=1)
-    s.add_argument("--split-budget", type=int, default=10_000)
     s.add_argument("--timeout-s", type=float, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--emit-model", metavar="PATH")
@@ -132,6 +132,9 @@ def _run(args) -> int:
         except NonLinearProgram as e:
             print(f"dimsolve: {e}", file=sys.stderr)
             return 1
+        except ResourceExhausted as e:
+            print(f"UNKNOWN {e.reason}")
+            return 2
         if not verdict.solved:
             print("NOT SOLVED")
             return 2
@@ -162,8 +165,7 @@ def _run(args) -> int:
             print(f"# dim={dim(t)} height={height(t)}")
         return 0
     cfg = Config(max_k=args.max_k, widen_delay=args.widen_delay,
-                 narrow=bool(args.narrow), split_budget=args.split_budget,
-                 timeout_s=args.timeout_s,
+                 narrow=bool(args.narrow), timeout_s=args.timeout_s,
                  trace=args.trace or os.environ.get("DIMSOLVE_TRACE") == "1")
     outcome: SolveOutcome = solve(program, cfg)
     if outcome.solved:

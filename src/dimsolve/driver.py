@@ -6,8 +6,8 @@ Soundness: a Solved outcome always carries a model that passed the
 independent inductiveness re-check against the original clauses, so the
 answer never depends on the abstraction being precise.  Unknown covers both
 abstraction failures and exhausted bounds (the deadline, the Fourier-Motzkin
-row cap and the fixpoint round cap, each with its own reason, caught
-anywhere in a level); no unsafety claim is ever made.
+row cap, the fixpoint round cap and the region-splitting budget, each with
+its own reason, caught anywhere in a level); no unsafety claim is ever made.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ from dataclasses import dataclass, field
 
 from .kdim import kdim
 from .linear_solver import NoFixpoint, SolverTimeout, solve_linear
-from .models import Model, inductive, linearize
-from .polyhedra import RowCapExceeded
+from .models import Model, SplitBudgetExceeded, inductive, linearize
+from .polyhedra import ResourceExhausted, RowCapExceeded
 from .syntax import Program
 
 UNKNOWN_NOT_SOLVED = "not-solved"
 UNKNOWN_MAX_K = "max-k"
-UNKNOWN_TIMEOUT = "timeout"
-UNKNOWN_ROW_CAP = "fm-row-cap"
-UNKNOWN_NO_FIXPOINT = "no-fixpoint"
+UNKNOWN_TIMEOUT = SolverTimeout.reason
+UNKNOWN_ROW_CAP = RowCapExceeded.reason
+UNKNOWN_NO_FIXPOINT = NoFixpoint.reason
+UNKNOWN_SPLIT_BUDGET = SplitBudgetExceeded.reason
 
 
 @dataclass
@@ -33,7 +34,6 @@ class Config:
     max_k: int = 8
     widen_delay: int = 1
     narrow: bool = True
-    split_budget: int = 10_000
     timeout_s: float | None = None
     trace: bool = False
 
@@ -77,7 +77,7 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
             if not verdict.solved:
                 return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
             accumulated = accumulated.union(verdict.model)
-            if inductive(accumulated, p, cfg.split_budget):
+            if inductive(accumulated, p):
                 if trace:
                     trace(f"k={k}: model is inductive")
                 return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
@@ -89,9 +89,5 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
                 return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
             k += 1
             current = linearize(kdim(p, k), accumulated)
-    except SolverTimeout:
-        return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
-    except RowCapExceeded:
-        return SolveOutcome("unknown", None, UNKNOWN_ROW_CAP, k, stats)
-    except NoFixpoint:
-        return SolveOutcome("unknown", None, UNKNOWN_NO_FIXPOINT, k, stats)
+    except ResourceExhausted as e:
+        return SolveOutcome("unknown", None, e.reason, k, stats)

@@ -19,8 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .models import ConstrainedFact, Model, satisfies_program
-from .polyhedra import Polyhedron
+from .models import ConstrainedFact, Model, head_image, satisfies_program
+from .polyhedra import Polyhedron, ResourceExhausted
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
 
 
@@ -47,36 +47,26 @@ class NonLinearProgram(ValueError):
     pass
 
 
-class SolverTimeout(Exception):
-    pass
+class SolverTimeout(ResourceExhausted):
+    """The deadline passed."""
+    reason = "timeout"
 
 
-class NoFixpoint(RuntimeError):
+class NoFixpoint(ResourceExhausted):
     """The Kleene iteration did not stabilize within its round cap."""
+    reason = "no-fixpoint"
 
 
 def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     """One synchronous evaluation of all clauses against the current state."""
     new: dict[PredRef, Polyhedron] = {}
     for c in p.clauses:
-        rows = list(c.constraint)
-        dead = False
-        for atom in c.body:
-            interp = s.lookup(atom.pred)
-            if interp is None or interp.is_empty():
-                dead = True
-                break
-            mapping = dict(zip(interp.dims, (v.name for v in atom.args)))
-            rows.extend(interp.rename(mapping).constraints)
-        if dead:
+        interps = [s.lookup(atom.pred) for atom in c.body]
+        if any(i is None or i.is_empty() for i in interps):
             continue
-        body = Polyhedron(c.vars(), rows)
-        if body.is_empty():
+        poly = head_image(c, zip(c.body, interps))
+        if poly is None:
             continue
-        head_vars = [v.name for v in c.head.args]
-        params = canonical_params(len(head_vars))
-        poly = body.project(head_vars).rename(
-            dict(zip(head_vars, (v.name for v in params))))
         old = new.get(c.head.pred)
         new[c.head.pred] = poly if old is None else old.hull(poly)
     return {pred: poly for pred, poly in new.items() if not poly.is_empty()}

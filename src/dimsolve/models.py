@@ -4,8 +4,10 @@ A model maps each predicate to a list of constrained facts (a disjunction);
 predicates absent from the map denote the empty interpretation, and the
 reserved ``false`` is always interpreted as empty.  Clause satisfaction is
 decided exactly over the rationals: for every choice of one disjunct per body
-atom, the body region must be covered by the disjunction of head facts,
-checked by recursive region subtraction with a configurable split budget.
+atom, the body's image in the head arguments must be covered by the
+disjunction of head facts, checked by recursive region subtraction.  Head
+facts constrain only the head arguments, so covering the projected body is
+the same as covering the body itself.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, ResourceExhausted
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, Var,
                      canonical_params, render_atom)
 from .terms import Constraint
 
-DEFAULT_SPLIT_BUDGET = 10_000
+_SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,6 @@ class ConstrainedFact:
     pred: PredRef
     params: tuple[Var, ...]
     constraint: Polyhedron  # dims are exactly the param names
-
-    def renamed_to(self, args: tuple[Var, ...]) -> Polyhedron:
-        mapping = {p.name: a.name for p, a in zip(self.params, args)}
-        return self.constraint.rename(mapping)
 
     def __repr__(self):
         body = ",".join(repr(c) for c in self.constraint.constraints)
@@ -46,7 +44,8 @@ class Model:
 
     def add(self, fact: ConstrainedFact):
         params = canonical_params(len(fact.params))
-        poly = fact.renamed_to(params).simplify()
+        poly = fact.constraint.rename(
+            {p.name: a.name for p, a in zip(fact.params, params)}).simplify()
         if poly.is_empty():
             return
         norm = ConstrainedFact(fact.pred, params, poly)
@@ -101,16 +100,41 @@ class Model:
         return m
 
 
-class SplitBudgetExceeded(Exception):
-    pass
+def clause_body(clause: Clause, chosen) -> Polyhedron:
+    """The clause constraint conjoined with every ``(atom, polyhedron)`` pair
+    of ``chosen``, each polyhedron renamed from its dims onto the atom's
+    arguments, over ``clause.vars()``."""
+    rows = list(clause.constraint)
+    for atom, poly in chosen:
+        if len(poly.dims) != len(atom.args):
+            raise ValueError(f"arity mismatch for {atom.pred!r}")
+        mapping = dict(zip(poly.dims, (v.name for v in atom.args)))
+        rows.extend(c.rename(mapping) for c in poly.constraints)
+    return Polyhedron(clause.vars(), rows)
 
 
-def _covered(body: Polyhedron, heads: list[Polyhedron], budget: int) -> bool:
+def head_image(clause: Clause, chosen) -> Polyhedron | None:
+    """The clause body projected onto the head arguments and renamed to
+    ``canonical_params``; None when the body is unsatisfiable."""
+    body = clause_body(clause, chosen)
+    if body.is_empty():
+        return None
+    head_vars = [v.name for v in clause.head.args]
+    params = canonical_params(len(head_vars))
+    return body.project(head_vars).rename(
+        dict(zip(head_vars, (v.name for v in params))))
+
+
+class SplitBudgetExceeded(ResourceExhausted):
+    """Region subtraction created more than ``_SPLIT_BUDGET`` pieces."""
+    reason = "split-budget"
+
+
+def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
     """True iff every rational point of ``body`` lies in some head region.
 
     Region subtraction: peel each head region off the body; covered iff
-    nothing satisfiable remains.  Exceeding the split budget raises, which
-    callers treat as "not covered" (sound: it can only delay termination).
+    nothing satisfiable remains.
     """
     regions = [body]
     created = 0
@@ -122,8 +146,9 @@ def _covered(body: Polyhedron, heads: list[Polyhedron], budget: int) -> bool:
                 for neg in c.negations():
                     piece = r.conjoin(prefix + [neg])
                     created += 1
-                    if created > budget:
-                        raise SplitBudgetExceeded
+                    if created > _SPLIT_BUDGET:
+                        raise SplitBudgetExceeded(
+                            "region subtraction split budget exceeded")
                     if piece.sat():
                         next_regions.append(piece)
                 prefix.append(c)
@@ -133,46 +158,28 @@ def _covered(body: Polyhedron, heads: list[Polyhedron], budget: int) -> bool:
     return not regions
 
 
-def satisfies_clause(m: Model, clause: Clause,
-                     split_budget: int = DEFAULT_SPLIT_BUDGET) -> bool:
-    dims = clause.vars()
-    head_polys: list[Polyhedron] = []
-    for f in m.facts_for(clause.head.pred):
-        poly = f.renamed_to(clause.head.args)
-        head_polys.append(poly.with_dims(dims))
+def satisfies_clause(m: Model, clause: Clause) -> bool:
+    heads = [f.constraint for f in m.facts_for(clause.head.pred)]
     for choice in product(*(m.facts_for(a.pred) for a in clause.body)):
-        rows = list(clause.constraint)
-        for atom, fact in zip(clause.body, choice):
-            if len(fact.params) != len(atom.args):
-                raise ValueError(f"arity mismatch for {atom.pred!r}")
-            rows.extend(fact.renamed_to(atom.args).constraints)
-        body = Polyhedron(dims, rows)
-        if body.is_empty():
-            continue
-        if not head_polys:
-            return False
-        try:
-            if not _covered(body, head_polys, split_budget):
-                return False
-        except SplitBudgetExceeded:
+        image = head_image(clause, zip(clause.body, (f.constraint for f in choice)))
+        if image is not None and not _covered(image, heads):
             return False
     return True
 
 
-def satisfies_program(m: Model, p: Program,
-                      split_budget: int = DEFAULT_SPLIT_BUDGET) -> bool:
+def satisfies_program(m: Model, p: Program) -> bool:
     """Clause satisfaction with the model taken as-is (no index erasure)."""
-    return all(satisfies_clause(m, c, split_budget) for c in p.clauses)
+    return all(satisfies_clause(m, c) for c in p.clauses)
 
 
-def inductive(m: Model, p: Program, split_budget: int = DEFAULT_SPLIT_BUDGET) -> bool:
+def inductive(m: Model, p: Program) -> bool:
     """Is the index-erased model a solution of the program?"""
-    return not violations(m, p, split_budget)
+    return not violations(m, p)
 
 
-def violations(m: Model, p: Program, split_budget: int = DEFAULT_SPLIT_BUDGET) -> list[Clause]:
+def violations(m: Model, p: Program) -> list[Clause]:
     erased = m.erase_indices()
-    return [c for c in p.clauses if not satisfies_clause(erased, c, split_budget)]
+    return [c for c in p.clauses if not satisfies_clause(erased, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +207,7 @@ def linearize(p_next: Program, s: Model) -> Program:
                 if v.name not in used:
                     used.append(v.name)
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
-            rows = list(c.constraint)
-            for atom, fact in zip(substitute, choice):
-                rows.extend(fact.renamed_to(atom.args).constraints)
-            poly = Polyhedron(c.vars(), rows)
+            poly = clause_body(c, zip(substitute, (f.constraint for f in choice)))
             if poly.is_empty():
                 continue
             projected = poly.project(used).simplify()

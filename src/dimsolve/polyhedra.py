@@ -19,8 +19,14 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class RowCapExceeded(RuntimeError):
+class ResourceExhausted(RuntimeError):
+    """A resource limit ran out; ``reason`` is reported as ``UNKNOWN <reason>``."""
+    reason = ""
+
+
+class RowCapExceeded(ResourceExhausted):
     """Fourier-Motzkin generated more than ``_ROW_CAP`` rows."""
+    reason = "fm-row-cap"
 
 
 def _prune(rows: list[Constraint]) -> list[Constraint] | None:
@@ -139,12 +145,6 @@ class Polyhedron:
     def conjoin(self, extra) -> "Polyhedron":
         return Polyhedron(self.dims, self.constraints + tuple(extra))
 
-    def with_dims(self, dims) -> "Polyhedron":
-        missing = set(self.dims) - set(dims)
-        if missing:
-            raise DimensionMismatch(f"cannot drop dims {sorted(missing)} implicitly")
-        return Polyhedron(dims, self.constraints)
-
     def rename(self, mapping: dict[str, str]) -> "Polyhedron":
         dims = tuple(mapping.get(d, d) for d in self.dims)
         if len(set(dims)) != len(dims):
@@ -174,7 +174,7 @@ class Polyhedron:
         if set(self.dims) != set(other.dims):
             raise DimensionMismatch("hull arguments must share dimensions")
         if self.is_empty():
-            return other.with_dims(self.dims)
+            return Polyhedron(self.dims, other.constraints)
         if other.is_empty():
             return self
         y = {d: f"{d}#1" for d in self.dims}
@@ -200,7 +200,7 @@ class Polyhedron:
         if set(self.dims) != set(other.dims):
             raise DimensionMismatch("widen arguments must share dimensions")
         if self.is_empty():
-            return other.with_dims(self.dims)
+            return Polyhedron(self.dims, other.constraints)
         if other.is_empty():
             return self
         cs1 = _decompose(self.simplify().constraints)

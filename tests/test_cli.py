@@ -30,13 +30,30 @@ def test_max_k_zero_unknown(capsys):
     assert "UNKNOWN max-k" in out
 
 
-@pytest.mark.parametrize("module, attr, value, reason", [
+# Each resource cap, forced to trip: (module, attribute, value, reason).
+CAPS = [
     ("dimsolve.polyhedra", "_ROW_CAP", 0, "fm-row-cap"),
     ("dimsolve.linear_solver", "stabilized", lambda s1, s2: False, "no-fixpoint"),
-])
+    ("dimsolve.models", "_SPLIT_BUDGET", 0, "split-budget"),
+]
+
+
+@pytest.mark.parametrize("module, attr, value, reason", CAPS)
 def test_resource_cap_unknown_exit_two(capsys, monkeypatch, module, attr, value, reason):
     monkeypatch.setattr(f"{module}.{attr}", value)
     code, out, err = run_cli([os.path.join(BENCH, "fib.pl")], capsys)
+    assert code == 2
+    assert out == f"UNKNOWN {reason}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, attr, value, reason", CAPS)
+def test_solve_linear_cap_unknown_exit_two(tmp_path, capsys, monkeypatch,
+                                           module, attr, value, reason):
+    f = tmp_path / "count.pl"
+    f.write_text("p(X) :- X = 0.\np(Y) :- p(X), Y = X + 1.\nfalse :- p(X), X < 0.\n")
+    monkeypatch.setattr(f"{module}.{attr}", value)
+    code, out, err = run_cli(["solve-linear", str(f)], capsys)
     assert code == 2
     assert out == f"UNKNOWN {reason}\n"
     assert "Traceback" not in err

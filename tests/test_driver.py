@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dimsolve import linear_solver, polyhedra
+from dimsolve import linear_solver, models, polyhedra
 from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NO_FIXPOINT,
                              UNKNOWN_NOT_SOLVED, UNKNOWN_ROW_CAP,
-                             UNKNOWN_TIMEOUT, solve)
+                             UNKNOWN_SPLIT_BUDGET, UNKNOWN_TIMEOUT, solve)
 from dimsolve.kdim import clause_count, kdim
 from dimsolve.models import inductive, satisfies_clause
 from dimsolve.parser import parse
@@ -55,6 +55,7 @@ def test_timeout():
 CAPS = [
     (polyhedra, "_ROW_CAP", 0, UNKNOWN_ROW_CAP),
     (linear_solver, "stabilized", lambda s1, s2: False, UNKNOWN_NO_FIXPOINT),
+    (models, "_SPLIT_BUDGET", 0, UNKNOWN_SPLIT_BUDGET),
 ]
 
 

@@ -3,9 +3,11 @@ from itertools import product
 
 import pytest
 
+from dimsolve import models
 from dimsolve.kdim import kdim
-from dimsolve.models import (ConstrainedFact, Model, inductive, linearize,
-                             satisfies_clause, violations)
+from dimsolve.models import (ConstrainedFact, Model, SplitBudgetExceeded,
+                             inductive, linearize, satisfies_clause,
+                             violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron
 from dimsolve.syntax import PredRef, Var, is_linear
@@ -63,14 +65,39 @@ def test_disjunction_covers_head():
     assert satisfies_clause(m, p.clauses[1])
 
 
-def test_split_budget_exhaustion_returns_no():
+def test_split_budget_exhaustion_raises(monkeypatch):
     p = parse("r(Y) :- Y = X, q(X).")
     m = Model([
         ConstrainedFact(PredRef("q"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9))),
         ConstrainedFact(PredRef("r"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9))),
     ])
     assert satisfies_clause(m, p.clauses[0])
-    assert not satisfies_clause(m, p.clauses[0], split_budget=1)
+    monkeypatch.setattr(models, "_SPLIT_BUDGET", 1)
+    with pytest.raises(SplitBudgetExceeded):
+        satisfies_clause(m, p.clauses[0])
+
+
+def box(a_lo, a_hi, b_lo, b_hi):
+    """The fact region a_lo =< A =< a_hi, b_lo =< B =< b_hi."""
+    return poly(("A", "B"), C({"A": -1}, a_lo), C({"A": 1}, -a_hi),
+                C({"B": -1}, b_lo), C({"B": 1}, -b_hi))
+
+
+def test_coverage_on_head_image_in_head_argument_order():
+    # The head lists Z before Y and X is projected away: the image is the
+    # segment A = B + 1, 0 =< B =< 9, covered only by the union of two facts.
+    p = parse("r(Z, Y) :- q(X), Y = X, Z = X + 1.")
+    q = ConstrainedFact(PredRef("q"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9)))
+
+    def model(*regions):
+        return Model([q] + [ConstrainedFact(PredRef("r"), AB, r) for r in regions])
+
+    low, high = box(1, 6, 0, 5), box(5, 10, 4, 9)
+    assert satisfies_clause(model(low, high), p.clauses[0])
+    assert not satisfies_clause(model(low), p.clauses[0])
+    assert not satisfies_clause(model(high), p.clauses[0])
+    # the same bounds with A and B swapped in one fact miss the point (1, 0)
+    assert not satisfies_clause(model(box(0, 5, 1, 6), high), p.clauses[0])
 
 
 def test_inductive_monotone_in_program(fib):
@@ -242,7 +269,8 @@ def test_ground_instance_agreement(fib):
         for choice in product(*facts):
             rows = list(clause.constraint)
             for atom, fact in zip(clause.body, choice):
-                rows.extend(fact.renamed_to(atom.args).constraints)
+                mapping = {p.name: a.name for p, a in zip(fact.params, atom.args)}
+                rows.extend(c.rename(mapping) for c in fact.constraint.constraints)
             body = Polyhedron(dims, rows)
             for pt in grid_points(dims, -5, 5):
                 if not body.eval_point(pt):
