@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .kdim import kdim
 from .linear_solver import NoFixpoint, SolverTimeout, solve_linear
-from .models import Model, SplitBudgetExceeded, inductive, linearize
-from .polyhedra import ResourceExhausted, RowCapExceeded
+from .models import Model, SplitBudgetExceeded, linearize, violations
+from .models import inductive  # noqa: F401  (perfbench/tracing.py patches it)
+from .polyhedra import ResourceExhausted, RowCapExceeded, check_deadline
 from .syntax import Program
 
 UNKNOWN_NOT_SOLVED = "not-solved"
@@ -68,7 +69,8 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
                                    narrow=cfg.narrow, deadline=deadline,
                                    trace=trace)
             entry = {"k": k, "clauses": len(current.clauses),
-                     "solved": verdict.solved, "seconds": time.monotonic() - began}
+                     "solved": verdict.solved, "seconds": time.monotonic() - began,
+                     "check_s": 0.0, "violated": None}
             stats.append(entry)
             if trace:
                 trace(f"k={k} clauses={entry['clauses']} linear-solve="
@@ -77,17 +79,19 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
             if not verdict.solved:
                 return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
             accumulated = accumulated.union(verdict.model)
-            if inductive(accumulated, p):
-                if trace:
-                    trace(f"k={k}: model is inductive")
-                return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
+            began = time.monotonic()
+            failed = violations(accumulated, p, deadline)
+            entry["check_s"] = time.monotonic() - began
+            entry["violated"] = [c.id for c in failed]
             if trace:
-                trace(f"k={k}: model not inductive")
-            if deadline is not None and time.monotonic() > deadline:
-                return SolveOutcome("unknown", None, UNKNOWN_TIMEOUT, k, stats)
+                trace(f"k={k}: model {'not ' if failed else 'is '}inductive "
+                      f"violated={entry['violated']} check={entry['check_s']:.2f}s")
+            if not failed:
+                return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
+            check_deadline(deadline)
             if k + 1 > cfg.max_k:
                 return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
             k += 1
-            current = linearize(kdim(p, k), accumulated)
+            current = linearize(kdim(p, k), accumulated, deadline)
     except ResourceExhausted as e:
         return SolveOutcome("unknown", None, e.reason, k, stats)

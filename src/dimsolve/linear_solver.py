@@ -16,11 +16,11 @@ returned; a gate failure downgrades the verdict to NotSolved.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
-from .polyhedra import Polyhedron, ResourceExhausted
+from .polyhedra import Polyhedron, ResourceExhausted, check_deadline
+from .polyhedra import SolverTimeout  # noqa: F401  (re-exported)
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
 
 
@@ -45,11 +45,6 @@ class LinearVerdict:
 
 class NonLinearProgram(ValueError):
     pass
-
-
-class SolverTimeout(ResourceExhausted):
-    """The deadline passed."""
-    reason = "timeout"
 
 
 class NoFixpoint(ResourceExhausted):
@@ -123,8 +118,7 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
     state = AbstractState()
     rounds = 0
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout
+        check_deadline(deadline)
         nxt = step(p, state, widen_delay)
         rounds += 1
         if stabilized(state, nxt):
@@ -136,8 +130,7 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
         trace(f"fixpoint after {rounds} rounds")
     if narrow and _false_feasible(state):
         for i in range(npreds + 2):
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolverTimeout
+            check_deadline(deadline)
             refined = AbstractState(_contributions(p, state), dict(state.changes))
             if stabilized(state, refined):
                 break

@@ -8,6 +8,12 @@ atom, the body's image in the head arguments must be covered by the
 disjunction of head facts, checked by recursive region subtraction.  Head
 facts constrain only the head arguments, so covering the projected body is
 the same as covering the body itself.
+
+The inductiveness check (``violations``) first reduces the index-erased
+model to its maximal facts, dropping each fact entailed by another fact of
+the same predicate.  That is exact: the union of head facts is unchanged,
+and a body combination using a dropped fact has its head image inside the
+image of the same combination using the fact that entails it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .polyhedra import Polyhedron, ResourceExhausted
+from .polyhedra import Polyhedron, ResourceExhausted, check_deadline
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, Var,
                      canonical_params, render_atom)
 from .terms import Constraint
@@ -177,15 +183,34 @@ def inductive(m: Model, p: Program) -> bool:
     return not violations(m, p)
 
 
-def violations(m: Model, p: Program) -> list[Clause]:
-    erased = m.erase_indices()
-    return [c for c in p.clauses if not satisfies_clause(erased, c)]
+def _maximal(m: Model) -> Model:
+    """``m`` without the facts entailed by another fact of the same
+    predicate; of facts that entail each other the earliest stays."""
+    out = Model()
+    for pred, facts in m.facts.items():
+        out.facts[pred] = [
+            f for i, f in enumerate(facts)
+            if not any(j != i and f.constraint.entails(g.constraint)
+                       and (j < i or not g.constraint.entails(f.constraint))
+                       for j, g in enumerate(facts))]
+    return out
+
+
+def violations(m: Model, p: Program, deadline: float | None = None) -> list[Clause]:
+    """The clauses of ``p`` that the index-erased model does not satisfy."""
+    reduced = _maximal(m.erase_indices())
+    out = []
+    for c in p.clauses:
+        check_deadline(deadline)
+        if not satisfies_clause(reduced, c):
+            out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # linearization
 
-def linearize(p_next: Program, s: Model) -> Program:
+def linearize(p_next: Program, s: Model, deadline: float | None = None) -> Program:
     """Substitute the solved interpretations for every body atom below the
     top dimension level of ``p_next``; one clause per disjunct combination,
     unsatisfiable results dropped, constraints projected onto the variables
@@ -194,6 +219,7 @@ def linearize(p_next: Program, s: Model) -> Program:
     level = max((pred.d for pred in p_next.signatures if pred.indexed), default=0)
     out: list[Clause] = []
     for c in p_next.clauses:
+        check_deadline(deadline)
         keep: list[Atom] = []
         substitute: list[Atom] = []
         for a in c.body:

@@ -10,6 +10,8 @@ Everything is exact; no floating point anywhere.
 
 from __future__ import annotations
 
+import time
+
 from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, linear_combination
 
 _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
@@ -27,6 +29,17 @@ class ResourceExhausted(RuntimeError):
 class RowCapExceeded(ResourceExhausted):
     """Fourier-Motzkin generated more than ``_ROW_CAP`` rows."""
     reason = "fm-row-cap"
+
+
+class SolverTimeout(ResourceExhausted):
+    """The deadline passed."""
+    reason = "timeout"
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise ``SolverTimeout`` once the ``time.monotonic`` deadline has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout
 
 
 def _prune(rows: list[Constraint]) -> list[Constraint] | None:
@@ -58,22 +71,24 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         return None
     remaining = set(elim)
     while remaining:
-        occur = {v: [r for r in rows if v in dict(r.terms)] for v in remaining}
-        # equalities allow exact substitution; do those first
-        subst_var = None
-        for v in sorted(remaining):
-            if any(r.rel == EQ for r in occur[v]):
-                subst_var = v
-                break
-        if subst_var is not None:
-            v = subst_var
-            eq = next(r for r in occur[v] if r.rel == EQ)
-            a = dict(eq.terms)[v]
+        coeffs = [dict(r.terms) for r in rows]  # read once per step
+        # equalities allow exact substitution; do those first, taking the
+        # first variable by name and its first equality in row order
+        first_eq: dict[str, int] = {}
+        for i, r in enumerate(rows):
+            if r.rel == EQ:
+                for v in coeffs[i]:
+                    if v in remaining:
+                        first_eq.setdefault(v, i)
+        if first_eq:
+            v = min(first_eq)
+            i = first_eq[v]
+            eq, a = rows[i], coeffs[i][v]
             new_rows = []
-            for r in rows:
+            for r, cs in zip(rows, coeffs):
                 if r is eq:
                     continue
-                b = dict(r.terms).get(v, 0)
+                b = cs.get(v, 0)
                 if b == 0:
                     new_rows.append(r)
                 else:
@@ -87,20 +102,27 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
             remaining.discard(v)
             continue
         # Fourier-Motzkin on the variable with the fewest pos*neg pairings
-        def cost(v: str) -> tuple[int, str]:
-            pos = sum(1 for r in occur[v] if dict(r.terms)[v] > 0)
-            neg = len(occur[v]) - pos
-            return (pos * neg, v)
-
-        v = min(remaining, key=cost)
+        npos = dict.fromkeys(remaining, 0)
+        nneg = dict.fromkeys(remaining, 0)
+        for cs in coeffs:
+            for v, c in cs.items():
+                if v in remaining:
+                    if c > 0:
+                        npos[v] += 1
+                    else:
+                        nneg[v] += 1
+        v = min(remaining, key=lambda u: (npos[u] * nneg[u], u))
         pos, neg, rest = [], [], []
-        for r in rows:
-            c = dict(r.terms).get(v, 0)
-            (pos if c > 0 else neg if c < 0 else rest).append(r)
-        for p in pos:
-            cp = dict(p.terms)[v]
-            for n in neg:
-                cn = dict(n.terms)[v]
+        for r, cs in zip(rows, coeffs):
+            c = cs.get(v, 0)
+            if c > 0:
+                pos.append((r, c))
+            elif c < 0:
+                neg.append((r, c))
+            else:
+                rest.append(r)
+        for p, cp in pos:
+            for n, cn in neg:
                 rel = LT if LT in (p.rel, n.rel) else LE
                 rest.append(linear_combination([(-cn, p), (cp, n)], rel))
                 if len(rest) > _ROW_CAP:

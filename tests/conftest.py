@@ -23,6 +23,15 @@ fib(A, B) :- A > 1, A2 = A - 2, fib(A2, B2),
 false :- A > 5, fib(A, B), B < A.
 """
 
+# Node count of a ternary tree with at least one full-depth branch: safe, but
+# the erased models fail the inductiveness check at every level up to k=8.
+TREE3_SRC = """\
+t(H, N) :- H = 0, N = 1.
+t(H, N) :- H >= 1, H1 = H - 1, H2 >= 0, H2 =< H - 1, H3 >= 0, H3 =< H - 1,
+           t(H1, N1), t(H2, N2), t(H3, N3), N = N1 + N2 + N3 + 1.
+false :- t(H, N), N < 2*H + 1.
+"""
+
 
 @pytest.fixture
 def fib():
@@ -32,6 +41,11 @@ def fib():
 @pytest.fixture
 def fib_bench():
     return parse(FIB_BENCH_SRC)
+
+
+@pytest.fixture
+def tree3():
+    return parse(TREE3_SRC)
 
 
 def C(coeffs, const, rel=LE):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dimsolve import linear_solver, models, polyhedra
+from dimsolve import driver, linear_solver, models, polyhedra
 from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NO_FIXPOINT,
                              UNKNOWN_NOT_SOLVED, UNKNOWN_ROW_CAP,
                              UNKNOWN_SPLIT_BUDGET, UNKNOWN_TIMEOUT, solve)
@@ -97,6 +97,42 @@ def test_stats_recorded(fib_bench):
     out = solve(fib_bench, Config())
     assert len(out.stats) == out.k_reached + 1
     assert all(e["clauses"] > 0 for e in out.stats)
+    assert all(e["check_s"] >= 0 for e in out.stats)
+    # every level before the last fails the check on some clause ids
+    assert [bool(e["violated"]) for e in out.stats] == [True] * out.k_reached + [False]
+    ids = {c.id for c in fib_bench.clauses}
+    assert all(set(e["violated"]) <= ids for e in out.stats)
+
+
+def test_stats_of_unsolved_level_have_no_check():
+    out = solve(parse("false :- X=1, p(X).\np(X) :- X=1."))
+    assert [(e["violated"], e["check_s"]) for e in out.stats] == [(None, 0.0)]
+
+
+def test_tree3_deep_ends_max_k(tree3):
+    lines = []
+    out = solve(tree3, Config(max_k=4), trace=lines.append)
+    assert out.status == "unknown"
+    assert out.reason == UNKNOWN_MAX_K
+    assert out.k_reached == 4
+    assert [e["violated"] for e in out.stats] == [[2], [2], [3], [3], [3]]
+    checks = [line for line in lines if "inductive" in line]
+    assert len(checks) == 5
+    assert checks[2].startswith("k=2: model not inductive violated=[3] check=")
+
+
+@pytest.mark.parametrize("layer, k", [("violations", 0), ("linearize", 1)])
+def test_timeout_in_check_and_linearize(fib_bench, monkeypatch, layer, k):
+    # only ``layer`` sees the deadline, which has passed before it runs
+    monkeypatch.setattr(linear_solver, "check_deadline", lambda deadline: None)
+    monkeypatch.setattr(driver, "check_deadline", lambda deadline: None)
+    if layer == "linearize":
+        monkeypatch.setattr(driver, "violations",
+                            lambda m, p, deadline: models.violations(m, p))
+    out = solve(fib_bench, Config(timeout_s=0.0))
+    assert out.status == "unknown"
+    assert out.reason == UNKNOWN_TIMEOUT
+    assert out.k_reached == k
 
 
 def test_nullary_predicates_end_to_end():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -9,11 +10,12 @@ from dimsolve.models import (ConstrainedFact, Model, SplitBudgetExceeded,
                              inductive, linearize, satisfies_clause,
                              violations)
 from dimsolve.parser import parse
-from dimsolve.polyhedra import Polyhedron
-from dimsolve.syntax import PredRef, Var, is_linear
+from dimsolve.polyhedra import Polyhedron, SolverTimeout
+from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
 from dimsolve.terms import EQ
 
-from conftest import C, grid_points, poly, random_poly, random_program
+from conftest import (C, grid_points, poly, random_constraint, random_poly,
+                      random_program)
 
 AB = (Var("A"), Var("B"))
 SEG0 = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1), C({"A": 1, "B": -1}, 0, EQ))
@@ -278,3 +280,68 @@ def test_ground_instance_agreement(fib):
                 head_pt = {p.name: pt[a.name] for p, a in
                            zip((Var("A"), Var("B")), clause.head.args)}
                 assert any(f.constraint.eval_point(head_pt) for f in heads)
+
+
+# The index-erased tree3 model at k=2: every fact but ``3*A-B=< -1`` is
+# entailed by it, and that fact lets clause 3 fail at H = -1, N = -2.
+TREE3_K2 = """\
+t(A, B) :- [3*A-B= -1,4*A-B>=0].
+t(A, B) :- [3*A-B= -1,A>=0].
+t(A, B) :- [3*A-B=< -1].
+t(A, B) :- [A=0,B=1].
+t(A, B) :- [A>=2,3*A-B=< -4].
+"""
+
+
+def unpruned_violations(m, p):
+    erased = m.erase_indices()
+    return [c for c in p.clauses if not satisfies_clause(erased, c)]
+
+
+def test_violations_on_maximal_facts_fixed_case(tree3):
+    m = Model.parse(TREE3_K2)
+    assert len(m.facts_for(PredRef("t"))) == 5
+    assert violations(m, tree3) == [tree3.clauses[2]]
+    assert unpruned_violations(m, tree3) == [tree3.clauses[2]]
+
+
+def random_model(rng, p):
+    """Up to two random facts per predicate, each often joined by a
+    strengthened copy that it entails; the order is shuffled so subsumed
+    facts come both before and after the facts that entail them."""
+    facts = []
+    for pred, arity in p.signatures.items():
+        if pred == FALSE:
+            continue
+        params = canonical_params(arity)
+        dims = [v.name for v in params]
+        for _ in range(rng.randint(0, 2)):
+            base = random_poly(rng, dims, coeff_range=(-3, 3))
+            facts.append(ConstrainedFact(pred, params, base))
+            if rng.random() < 0.7:
+                stronger = base.conjoin([random_constraint(rng, dims, (-3, 3))])
+                facts.append(ConstrainedFact(pred, params, stronger))
+    rng.shuffle(facts)
+    return Model(facts)
+
+
+def test_violations_agree_with_unpruned_check(fib, tree3):
+    rng = random.Random(23)
+    programs = [fib, tree3] + [random_program(rng) for _ in range(8)]
+    pruned = 0
+    for p in programs:
+        for _ in range(12):
+            m = random_model(rng, p)
+            erased = m.erase_indices()
+            pruned += (sum(len(fs) for fs in erased.facts.values())
+                       - sum(len(fs) for fs in models._maximal(erased).facts.values()))
+            assert violations(m, p) == unpruned_violations(m, p)
+    assert pruned > 0  # the reduction is exercised, not bypassed
+
+
+def test_violations_and_linearize_honor_deadline(fib):
+    past = time.monotonic() - 1.0
+    with pytest.raises(SolverTimeout):
+        violations(seg0_model(), fib, deadline=past)
+    with pytest.raises(SolverTimeout):
+        linearize(kdim(fib, 1), s0_for(), deadline=past)
