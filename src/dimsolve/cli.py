@@ -68,28 +68,30 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _fail(message) -> int:
+    print(f"dimsolve: {message}", file=sys.stderr)
+    return 1
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        print(f"dimsolve: cannot read {path}: {e.strerror}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_fail(f"cannot read {path}: {e.strerror}"))
 
 
 def _parse_program(path: str):
     try:
         return parse(_read(path))
     except (ParseError, ArityError) as e:
-        print(f"dimsolve: {path}: {e}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_fail(f"{path}: {e}"))
 
 
 def _parse_predref(text: str) -> PredRef:
     m = re.fullmatch(r"([a-z][A-Za-z0-9_]*)(?:\((\d+)\)|\[(\d+)\])?", text)
     if not m:
-        print(f"dimsolve: bad predicate reference {text!r}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_fail(f"bad predicate reference {text!r}"))
     base, exact, atmost = m.groups()
     if exact is not None:
         return PredRef(base, EXACT, int(exact))
@@ -120,8 +122,7 @@ def _run(args) -> int:
         try:
             sys.stdout.write(render_program(kdim(program, args.k)))
         except ValueError as e:
-            print(f"dimsolve: {e}", file=sys.stderr)
-            return 1
+            return _fail(e)
         return 0
 
     if args.command == "solve-linear":
@@ -130,8 +131,7 @@ def _run(args) -> int:
             verdict = solve_linear(program, widen_delay=args.widen_delay,
                                    narrow=bool(args.narrow))
         except NonLinearProgram as e:
-            print(f"dimsolve: {e}", file=sys.stderr)
-            return 1
+            return _fail(e)
         except ResourceExhausted as e:
             print(f"UNKNOWN {e.reason}")
             return 2
@@ -145,19 +145,21 @@ def _run(args) -> int:
         try:
             tree = parse_tree(_read(args.file))
         except ValueError as e:
-            print(f"dimsolve: {args.file}: {e}", file=sys.stderr)
-            return 1
+            return _fail(f"{args.file}: {e}")
         print(dim(tree))
         return 0
 
     # default: solve
+    if args.max_k < 0:
+        return _fail("--max-k must be nonnegative")
+    if args.max_nodes < 1:
+        return _fail("--max-nodes must be at least 1")
     program = _parse_program(args.file)
     if args.dump_trees is not None:
         root = (_parse_predref(args.root) if args.root
                 else program.clauses[0].head.pred if program.clauses else None)
         if root is None:
-            print("dimsolve: empty program has no trees", file=sys.stderr)
-            return 1
+            return _fail("empty program has no trees")
         for i, t in enumerate(enumerate_trees(program, root, args.max_nodes)):
             if i >= args.dump_trees:
                 break
@@ -169,11 +171,15 @@ def _run(args) -> int:
                  trace=args.trace or os.environ.get("DIMSOLVE_TRACE") == "1")
     outcome: SolveOutcome = solve(program, cfg)
     if outcome.solved:
-        print("SOLVED")
-        sys.stdout.write(outcome.model.render())
+        rendered = outcome.model.render()
         if args.emit_model:
-            with open(args.emit_model, "w", encoding="utf-8") as fh:
-                fh.write(outcome.model.render())
+            try:
+                with open(args.emit_model, "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as e:
+                return _fail(f"cannot write {args.emit_model}: {e.strerror}")
+        print("SOLVED")
+        sys.stdout.write(rendered)
         return 0
     print(f"UNKNOWN {outcome.reason}")
     return 2

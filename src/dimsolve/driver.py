@@ -1,6 +1,7 @@
-"""The solve loop: bound the dimension, solve the linear program, test the
-index-erased model for inductiveness, and linearize the next level against
-the accumulated model until a solution is found or resources run out.
+"""The solve loop: solve one dimension level, test the index-erased model of
+all levels so far for inductiveness, and linearize only the next level's
+clauses ``kdim(p, k, k)`` against that model, until a solution is found or
+resources run out.  Each level adds facts for its own predicates only.
 
 Soundness: a Solved outcome always carries a model that passed the
 independent inductiveness re-check against the original clauses, so the
@@ -78,7 +79,8 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
                       f"({entry['seconds']:.2f}s)")
             if not verdict.solved:
                 return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
-            accumulated = accumulated.union(verdict.model)
+            assert accumulated.facts.keys().isdisjoint(verdict.model.facts)
+            accumulated.facts.update(verdict.model.facts)
             began = time.monotonic()
             failed = violations(accumulated, p, deadline)
             entry["check_s"] = time.monotonic() - began
@@ -92,6 +94,6 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
             if k + 1 > cfg.max_k:
                 return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
             k += 1
-            current = linearize(kdim(p, k), accumulated, deadline)
+            current = linearize(kdim(p, k, k), accumulated, deadline)
     except ResourceExhausted as e:
         return SolveOutcome("unknown", None, e.reason, k, stats)

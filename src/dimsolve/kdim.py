@@ -20,6 +20,9 @@ Rule groups, in output order:
        three or more equally-deep children (see the regression tests).
 3. Bookkeeping clauses H[d] :- H(e) for every predicate H, 0 <= d <= k,
    0 <= e <= d.
+
+``kdim(p, k, lowest)`` emits only the clauses with head index in lowest..k,
+in the same order; the solve loop builds only the new level ``kdim(p, k, k)``.
 """
 
 from __future__ import annotations
@@ -38,19 +41,21 @@ def _bases(p: Program) -> list[str]:
     return sorted({pred.base for pred in p.signatures})
 
 
-def kdim(p: Program, k: int) -> Program:
+def kdim(p: Program, k: int, lowest: int = 0) -> Program:
     if k < 0:
         raise ValueError("dimension bound must be nonnegative")
+    if not 0 <= lowest <= k:
+        raise ValueError("lowest level must lie in 0..k")
     if any(pred.indexed for pred in p.signatures):
         raise ValueError("input program already contains indexed predicates")
 
     out: list[Clause] = []
     for c in p.clauses:
-        if len(c.body) == 0:
+        if len(c.body) == 0 and lowest == 0:
             out.append(Clause(0, _indexed(c.head, EXACT, 0), c.constraint, (),
                               provenance=("rule1", c.id, 0)))
         elif len(c.body) == 1:
-            for d in range(k + 1):
+            for d in range(lowest, k + 1):
                 out.append(Clause(0, _indexed(c.head, EXACT, d), c.constraint,
                                   (_indexed(c.body[0], EXACT, d),),
                                   provenance=("rule1", c.id, d)))
@@ -58,7 +63,7 @@ def kdim(p: Program, k: int) -> Program:
         r = len(c.body)
         if r <= 1:
             continue
-        for d in range(1, k + 1):
+        for d in range(max(lowest, 1), k + 1):
             for j in range(r):
                 body = tuple(_indexed(b, EXACT, d) if i == j else _indexed(b, ATMOST, d - 1)
                              for i, b in enumerate(c.body))
@@ -76,7 +81,7 @@ def kdim(p: Program, k: int) -> Program:
     for base in _bases(p):
         arity = next(n for pred, n in p.signatures.items() if pred.base == base)
         params = canonical_params(arity)
-        for d in range(k + 1):
+        for d in range(lowest, k + 1):
             for e in range(d + 1):
                 out.append(Clause(0, Atom(PredRef(base, ATMOST, d), params), (),
                                   (Atom(PredRef(base, EXACT, e), params),),

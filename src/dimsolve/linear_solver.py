@@ -29,9 +29,6 @@ class AbstractState:
     interp: dict[PredRef, Polyhedron] = field(default_factory=dict)
     changes: dict[PredRef, int] = field(default_factory=dict)
 
-    def lookup(self, pred: PredRef) -> Polyhedron | None:
-        return self.interp.get(pred)
-
 
 @dataclass
 class LinearVerdict:
@@ -56,7 +53,7 @@ def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     """One synchronous evaluation of all clauses against the current state."""
     new: dict[PredRef, Polyhedron] = {}
     for c in p.clauses:
-        interps = [s.lookup(atom.pred) for atom in c.body]
+        interps = [s.interp.get(atom.pred) for atom in c.body]
         if any(i is None or i.is_empty() for i in interps):
             continue
         poly = head_image(c, zip(c.body, interps))

@@ -64,13 +64,6 @@ class Model:
             return []  # false is always interpreted as empty
         return self.facts.get(pred, [])
 
-    def union(self, other: "Model") -> "Model":
-        m = Model(f for fs in self.facts.values() for f in fs)
-        for fs in other.facts.values():
-            for f in fs:
-                m.add(f)
-        return m
-
     def erase_indices(self) -> "Model":
         m = Model()
         for fs in self.facts.values():
@@ -214,8 +207,8 @@ def linearize(p_next: Program, s: Model, deadline: float | None = None) -> Progr
     """Substitute the solved interpretations for every body atom below the
     top dimension level of ``p_next``; one clause per disjunct combination,
     unsatisfiable results dropped, constraints projected onto the variables
-    still in use.  The output is linear when ``p_next`` is a transformed
-    program at level one above the model."""
+    still in use.  The output is linear when ``p_next`` is ``kdim(p, k, k)``,
+    the clauses of the level one above the model ``s``."""
     level = max((pred.d for pred in p_next.signatures if pred.indexed), default=0)
     out: list[Clause] = []
     for c in p_next.clauses:
@@ -227,11 +220,7 @@ def linearize(p_next: Program, s: Model, deadline: float | None = None) -> Progr
                 substitute.append(a)
             else:
                 keep.append(a)
-        used: list[str] = []
-        for a in (c.head, *keep):
-            for v in a.args:
-                if v.name not in used:
-                    used.append(v.name)
+        used = list(dict.fromkeys(v.name for a in (c.head, *keep) for v in a.args))
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
             poly = clause_body(c, zip(substitute, (f.constraint for f in choice)))
             if poly.is_empty():

@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import subprocess
@@ -75,6 +76,30 @@ def test_parse_error_exit_one(tmp_path, capsys):
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(["--max-k", "notanumber", "x.pl"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--max-k", "-3"], "dimsolve: --max-k must be nonnegative\n"),
+    (["--dump-trees", "3", "--max-nodes", "0"], "dimsolve: --max-nodes must be at least 1\n"),
+], ids=["max-k", "max-nodes"])
+def test_bad_bound_exit_one(tmp_path, capsys, args, message):
+    # inductive at level 0, so an unchecked --max-k would print SOLVED
+    f = tmp_path / "zero.pl"
+    f.write_text("p(X) :- X = 0.\nfalse :- p(X), X > 1.\n")
+    assert run_cli([str(f)], capsys)[0] == 0
+    code, out, err = run_cli([*args, str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
+def test_emit_model_unwritable_exit_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "model.txt"
+    code, out, err = run_cli(["--emit-model", str(target),
+                              os.path.join(BENCH, "fib.pl")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"dimsolve: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_kdim_subcommand(capsys):

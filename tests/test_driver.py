@@ -7,7 +7,8 @@ from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NO_FIXPOINT,
                              UNKNOWN_NOT_SOLVED, UNKNOWN_ROW_CAP,
                              UNKNOWN_SPLIT_BUDGET, UNKNOWN_TIMEOUT, solve)
 from dimsolve.kdim import clause_count, kdim
-from dimsolve.models import inductive, satisfies_clause
+from dimsolve.linear_solver import solve_linear
+from dimsolve.models import inductive, linearize, satisfies_clause
 from dimsolve.parser import parse
 
 from conftest import random_program
@@ -116,9 +117,34 @@ def test_tree3_deep_ends_max_k(tree3):
     assert out.reason == UNKNOWN_MAX_K
     assert out.k_reached == 4
     assert [e["violated"] for e in out.stats] == [[2], [2], [3], [3], [3]]
+    # each level solves only its own clauses
+    assert [e["clauses"] for e in out.stats] == [4, 8, 11, 13, 14]
     checks = [line for line in lines if "inductive" in line]
     assert len(checks) == 5
     assert checks[2].startswith("k=2: model not inductive violated=[3] check=")
+
+
+def test_level_program_solves_like_the_full_program(fib, tree3):
+    """Linearized against the accumulated model, the level-k clauses alone
+    give every level-k predicate the same facts as all of P^{<=k}; the
+    lower levels of P^{<=k} add nothing the model does not already say."""
+    rng = random.Random(17)
+    compared = 0
+    for p in [fib, tree3] + [random_program(rng) for _ in range(12)]:
+        accumulated = solve_linear(kdim(p, 0)).model
+        for k in range(1, 4):
+            if accumulated is None:
+                break
+            level = solve_linear(linearize(kdim(p, k, k), accumulated))
+            full = solve_linear(linearize(kdim(p, k), accumulated))
+            assert level.solved == full.solved
+            if not level.solved:
+                break
+            assert level.model.facts == {
+                q: facts for q, facts in full.model.facts.items() if q.d == k}
+            accumulated.facts.update(level.model.facts)
+            compared += 1
+    assert compared >= 30
 
 
 @pytest.mark.parametrize("layer, k", [("violations", 0), ("linearize", 1)])

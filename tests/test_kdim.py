@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dimsolve.kdim import clause_count, erase_indices, kdim
 from dimsolve.parser import parse
 from dimsolve.syntax import (Program, alpha_equal, is_linear,
-                             multiset_alpha_equal, render_program)
+                             multiset_alpha_equal, render_clause, render_program)
 
-from conftest import random_program
+from conftest import FIB_SRC, random_program
 
 FIG3_SRC = """\
 fib(0)(A,A) :- A>=0, A=<1.
@@ -79,6 +80,45 @@ def test_rejects_indexed_input(fib):
 def test_rejects_negative_k(fib):
     with pytest.raises(ValueError):
         kdim(fib, -1)
+
+
+def level_programs():
+    rng = random.Random(21)
+    return [parse(FIB_SRC), parse("p.")] + [
+        random_program(rng) for _ in range(12)]
+
+
+def clause_keys(clauses):
+    return [(render_clause(c), c.provenance) for c in clauses]
+
+
+def test_level_zero_is_the_full_program():
+    for p in level_programs():
+        for k in range(4):
+            assert render_program(kdim(p, k, 0)) == render_program(kdim(p, k))
+
+
+def test_levels_partition_the_full_program():
+    for p in level_programs():
+        for k in range(4):
+            levels = [c for d in range(k + 1) for c in kdim(p, d, d).clauses]
+            assert Counter(clause_keys(levels)) == Counter(clause_keys(kdim(p, k).clauses))
+
+
+def test_level_form_keeps_head_indices_from_lowest_in_order():
+    for p in level_programs():
+        for k in range(4):
+            for lowest in range(k + 1):
+                part = kdim(p, k, lowest).clauses
+                assert all(c.head.pred.d >= lowest for c in part)
+                assert clause_keys(part) == clause_keys(
+                    c for c in kdim(p, k).clauses if c.head.pred.d >= lowest)
+
+
+@pytest.mark.parametrize("k, lowest", [(2, -1), (2, 3), (0, 1)])
+def test_rejects_lowest_outside_levels(fib, k, lowest):
+    with pytest.raises(ValueError):
+        kdim(fib, k, lowest)
 
 
 def test_erase_indices_program(fib):
