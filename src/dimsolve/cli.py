@@ -126,6 +126,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "solve-linear":
+        if args.widen_delay < 0:
+            return _fail("--widen-delay must be nonnegative")
         program = _parse_program(args.file)
         try:
             verdict = solve_linear(program, widen_delay=args.widen_delay,
@@ -154,6 +156,12 @@ def _run(args) -> int:
         return _fail("--max-k must be nonnegative")
     if args.max_nodes < 1:
         return _fail("--max-nodes must be at least 1")
+    if args.widen_delay < 0:
+        return _fail("--widen-delay must be nonnegative")
+    if args.dump_trees is not None and args.dump_trees < 0:
+        return _fail("--dump-trees must be nonnegative")
+    if args.timeout_s is not None and not args.timeout_s >= 0:  # NaN fails too
+        return _fail("--timeout-s must be a nonnegative number")
     program = _parse_program(args.file)
     if args.dump_trees is not None:
         root = (_parse_predref(args.root) if args.root

@@ -10,7 +10,8 @@ the false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
 Every Solved model is re-verified against the input clauses before being
-returned; a gate failure downgrades the verdict to NotSolved.
+returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
+inside ``polyhedra.memo()``, reusing the caller's table when there is one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
-from .polyhedra import Polyhedron, ResourceExhausted, check_deadline
+from .polyhedra import Polyhedron, ResourceExhausted, check_deadline, memo
 from .polyhedra import SolverTimeout  # noqa: F401  (re-exported)
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
 
@@ -112,33 +113,34 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
     max_rounds = 10 * (widen_delay + total_constraints + 8) + 10 * npreds
-    state = AbstractState()
-    rounds = 0
-    while True:
-        check_deadline(deadline)
-        nxt = step(p, state, widen_delay)
-        rounds += 1
-        if stabilized(state, nxt):
-            break
-        state = nxt
-        if rounds > max_rounds:
-            raise NoFixpoint("fixpoint iteration failed to stabilize")
-    if trace:
-        trace(f"fixpoint after {rounds} rounds")
-    if narrow and _false_feasible(state):
-        for i in range(npreds + 2):
+    with memo():
+        state = AbstractState()
+        rounds = 0
+        while True:
             check_deadline(deadline)
-            refined = AbstractState(_contributions(p, state), dict(state.changes))
-            if stabilized(state, refined):
+            nxt = step(p, state, widen_delay)
+            rounds += 1
+            if stabilized(state, nxt):
                 break
-            state = refined
+            state = nxt
+            if rounds > max_rounds:
+                raise NoFixpoint("fixpoint iteration failed to stabilize")
         if trace:
-            trace(f"narrowing ran {i + 1} descending rounds")
-    if _false_feasible(state):
-        return LinearVerdict(None, "false variant reachable in the abstraction")
-    model = _to_model(state)
-    if not satisfies_program(model, p):
-        print("warning: fixpoint model failed the clause re-check; "
-              "reporting NotSolved", file=sys.stderr)
-        return LinearVerdict(None, "soundness gate failed")
-    return LinearVerdict(model)
+            trace(f"fixpoint after {rounds} rounds")
+        if narrow and _false_feasible(state):
+            for i in range(npreds + 2):
+                check_deadline(deadline)
+                refined = AbstractState(_contributions(p, state), dict(state.changes))
+                if stabilized(state, refined):
+                    break
+                state = refined
+            if trace:
+                trace(f"narrowing ran {i + 1} descending rounds")
+        if _false_feasible(state):
+            return LinearVerdict(None, "false variant reachable in the abstraction")
+        model = _to_model(state)
+        if not satisfies_program(model, p):
+            print("warning: fixpoint model failed the clause re-check; "
+                  "reporting NotSolved", file=sys.stderr)
+            return LinearVerdict(None, "soundness gate failed")
+        return LinearVerdict(model)

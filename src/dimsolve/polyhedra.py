@@ -6,11 +6,20 @@ of negations; the convex hull uses the standard lifted encoding; widening is
 the classic constraint-based operator extended with the usual refinement that
 keeps constraints of the new polyhedron able to stand in for a dropped one.
 Everything is exact; no floating point anywhere.
+
+``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
+dimensions and constraints of their operands (a ``Polyhedron`` is
+immutable), so inside a ``memo()`` block each distinct call is computed once
+and its result reused.  The table lives in a context variable: it is shared
+by nested blocks and dropped when the outermost block exits, so it never
+outlives the solve that opened it.  Outside a block nothing is stored.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, linear_combination
 
@@ -34,6 +43,43 @@ class RowCapExceeded(ResourceExhausted):
 class SolverTimeout(ResourceExhausted):
     """The deadline passed."""
     reason = "timeout"
+
+
+_MEMO: ContextVar[dict | None] = ContextVar("polyhedra_memo", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def memo():
+    """Share the results of the pure polyhedral operations within the block.
+
+    Installs a fresh table, or reuses the one already active, and yields it;
+    the previous table (or none) is restored on exit.
+    """
+    table = _MEMO.get()
+    if table is not None:
+        yield table
+        return
+    table = {}
+    token = _MEMO.set(table)
+    try:
+        yield table
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(key, compute):
+    """``compute()``, looked up in and stored under ``key`` in the active table.
+
+    An operation that raises stores nothing.
+    """
+    table = _MEMO.get()
+    if table is None:
+        return compute()
+    out = table.get(key, _MISSING)
+    if out is _MISSING:
+        out = table[key] = compute()
+    return out
 
 
 def check_deadline(deadline: float | None) -> None:
@@ -158,7 +204,8 @@ class Polyhedron:
 
     def sat(self) -> bool:
         if self._sat is None:
-            self._sat = _eliminate(list(self.constraints), set(self.dims)) is not None
+            self._sat = _memoized(("sat", self.constraints), lambda: _eliminate(
+                list(self.constraints), set(self.dims)) is not None)
         return self._sat
 
     def is_empty(self) -> bool:
@@ -187,6 +234,10 @@ class Polyhedron:
         keep = tuple(keep)
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
+        return _memoized(("project", self.dims, self.constraints, keep),
+                         lambda: self._project(keep))
+
+    def _project(self, keep: tuple) -> "Polyhedron":
         rows = _eliminate(list(self.constraints), set(self.dims) - set(keep))
         if rows is None:
             return Polyhedron.bottom(keep)
@@ -195,6 +246,11 @@ class Polyhedron:
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         if set(self.dims) != set(other.dims):
             raise DimensionMismatch("hull arguments must share dimensions")
+        return _memoized(("hull", self.dims, self.constraints,
+                          other.dims, other.constraints),
+                         lambda: self._hull(other))
+
+    def _hull(self, other: "Polyhedron") -> "Polyhedron":
         if self.is_empty():
             return Polyhedron(self.dims, other.constraints)
         if other.is_empty():
@@ -241,6 +297,9 @@ class Polyhedron:
         return Polyhedron(self.dims, kept + extra).simplify()
 
     def simplify(self) -> "Polyhedron":
+        return _memoized(("simplify", self.dims, self.constraints), self._simplify)
+
+    def _simplify(self) -> "Polyhedron":
         if self.is_empty():
             return Polyhedron.bottom(self.dims)
         kept = _recombine(self.constraints)

@@ -81,7 +81,13 @@ def test_usage_error_exit_one(capsys):
 @pytest.mark.parametrize("args, message", [
     (["--max-k", "-3"], "dimsolve: --max-k must be nonnegative\n"),
     (["--dump-trees", "3", "--max-nodes", "0"], "dimsolve: --max-nodes must be at least 1\n"),
-], ids=["max-k", "max-nodes"])
+    (["--widen-delay", "-1"], "dimsolve: --widen-delay must be nonnegative\n"),
+    (["solve-linear", "--widen-delay", "-1"], "dimsolve: --widen-delay must be nonnegative\n"),
+    (["--dump-trees", "-2"], "dimsolve: --dump-trees must be nonnegative\n"),
+    (["--timeout-s", "-1"], "dimsolve: --timeout-s must be a nonnegative number\n"),
+    (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),
+], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
+        "timeout-s-negative", "timeout-s-nan"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"

@@ -1,0 +1,105 @@
+"""The per-solve memo of the pure polyhedral operations.
+
+Memoized results must equal computed ones, a solve must give the same
+outcome with and without the memo, and the table must never outlive the
+``memo()`` block that installed it.
+"""
+
+import contextlib
+import random
+
+import pytest
+
+from dimsolve import driver, linear_solver, polyhedra
+from dimsolve.driver import UNKNOWN_ROW_CAP, Config, solve
+from dimsolve.polyhedra import Polyhedron, RowCapExceeded, memo
+
+from conftest import C, poly, random_poly, random_program
+
+DIMS = ("A", "B", "C")
+
+
+def _outcome(p, cfg):
+    out = solve(p, cfg)
+    return (out.status, out.reason, out.k_reached,
+            out.model.render() if out.model is not None else None,
+            [(e["clauses"], e["solved"], e["violated"]) for e in out.stats])
+
+
+def _programs(fib, tree3):
+    rng = random.Random(29)  # solved at k=0 and 1, not-solved and max-k
+    return ([(fib, Config()), (tree3, Config(max_k=4))]
+            + [(random_program(rng), Config(max_k=3)) for _ in range(12)])
+
+
+def test_solve_outcomes_equal_without_memo(fib, tree3, monkeypatch):
+    programs = _programs(fib, tree3)
+    memoized = [_outcome(p, cfg) for p, cfg in programs]
+    monkeypatch.setattr(driver, "memo", contextlib.nullcontext)
+    monkeypatch.setattr(linear_solver, "memo", contextlib.nullcontext)
+    plain = [_outcome(p, cfg) for p, cfg in programs]
+    assert memoized == plain
+
+
+def _ops(a, b):
+    """Every memoized operation on a pair, or the exception type it raised."""
+    out = []
+    for op in (lambda: a.sat(), lambda: a.project(("A", "C")), lambda: a.project(("B",)),
+               lambda: a.hull(b), lambda: a.simplify()):
+        try:
+            out.append(op())
+        except RowCapExceeded as e:
+            out.append(type(e))
+    return out
+
+
+def _fresh(p):
+    # an equal but distinct polyhedron, so no per-instance cache answers
+    return Polyhedron(p.dims, p.constraints)
+
+
+def test_memoized_operations_equal_computed_ones():
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b = random_poly(rng, DIMS, 3), random_poly(rng, DIMS, 3)
+        computed = _ops(_fresh(a), _fresh(b))
+        with memo() as table:
+            first = _ops(_fresh(a), _fresh(b))
+            stored = len(table)
+            second = _ops(_fresh(a), _fresh(b))
+            assert len(table) == stored  # the second round only reads
+        assert computed == first == second
+
+
+def test_no_table_after_solve(fib_bench, monkeypatch):
+    assert solve(fib_bench).solved
+    assert polyhedra._MEMO.get() is None
+    monkeypatch.setattr(polyhedra, "_ROW_CAP", 0)
+    out = solve(fib_bench)
+    assert (out.status, out.reason) == ("unknown", UNKNOWN_ROW_CAP)
+    assert polyhedra._MEMO.get() is None
+
+
+def test_nested_memo_reuses_the_outer_table():
+    with memo() as outer:
+        with memo() as inner:
+            assert inner is outer
+        assert polyhedra._MEMO.get() is outer
+    assert polyhedra._MEMO.get() is None
+
+
+def test_raised_operation_stores_nothing(monkeypatch):
+    monkeypatch.setattr(polyhedra, "_ROW_CAP", 0)
+    box = poly(("A",), C({"A": -1}, 0), C({"A": 1}, -1))  # 0 =< A =< 1
+    with memo() as table:
+        with pytest.raises(RowCapExceeded):
+            box.sat()
+        assert table == {}
+    # both sides are decided by substitution alone, but the hull's simplify
+    # needs an elimination step and raises
+    a = poly(("A",), C({"A": 1}, 0, "="))
+    b = poly(("A",), C({"A": 1}, -1, "="))
+    with memo() as table:
+        with pytest.raises(RowCapExceeded):
+            a.hull(b)
+        assert {key[0] for key in table} <= {"sat", "project"}
