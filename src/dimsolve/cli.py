@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
     s.add_argument("file")
     s.add_argument("--max-k", type=int, default=8)
     s.add_argument("--widen-delay", type=int, default=1)
-    s.add_argument("--narrow", type=int, choices=(0, 1), default=1)
     s.add_argument("--timeout-s", type=float, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--emit-model", metavar="PATH")
@@ -61,7 +60,6 @@ def _build_parser() -> _Parser:
     sl = sub.add_parser("solve-linear", help="run the linear solver once")
     sl.add_argument("file")
     sl.add_argument("--widen-delay", type=int, default=1)
-    sl.add_argument("--narrow", type=int, choices=(0, 1), default=1)
 
     d = sub.add_parser("dim", help="dimension of a dumped derivation tree")
     d.add_argument("file")
@@ -130,8 +128,7 @@ def _run(args) -> int:
             return _fail("--widen-delay must be nonnegative")
         program = _parse_program(args.file)
         try:
-            verdict = solve_linear(program, widen_delay=args.widen_delay,
-                                   narrow=bool(args.narrow))
+            verdict = solve_linear(program, widen_delay=args.widen_delay)
         except NonLinearProgram as e:
             return _fail(e)
         except ResourceExhausted as e:
@@ -175,9 +172,11 @@ def _run(args) -> int:
             print(f"# dim={dim(t)} height={height(t)}")
         return 0
     cfg = Config(max_k=args.max_k, widen_delay=args.widen_delay,
-                 narrow=bool(args.narrow), timeout_s=args.timeout_s,
-                 trace=args.trace or os.environ.get("DIMSOLVE_TRACE") == "1")
-    outcome: SolveOutcome = solve(program, cfg)
+                 timeout_s=args.timeout_s)
+    trace = None
+    if args.trace or os.environ.get("DIMSOLVE_TRACE") == "1":
+        trace = lambda msg: print(msg, file=sys.stderr)
+    outcome: SolveOutcome = solve(program, cfg, trace=trace)
     if outcome.solved:
         rendered = outcome.model.render()
         if args.emit_model:

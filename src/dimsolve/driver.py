@@ -13,7 +13,9 @@ its own reason, caught anywhere in a level); no unsafety claim is ever made.
 The whole loop runs inside one ``polyhedra.memo()`` block, so the fixpoint
 rounds, the soundness gate, the inductiveness check and linearize share each
 polyhedral result the solve has already computed; the table is dropped when
-``solve`` returns.
+``solve`` returns.  The block also holds the ``timeout_s`` deadline, which
+every Fourier-Motzkin elimination step checks, so no layer takes a deadline
+of its own.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import time
 from dataclasses import dataclass, field
 
 from .kdim import kdim
-from .linear_solver import NoFixpoint, SolverTimeout, solve_linear
+from .linear_solver import NoFixpoint, solve_linear
 from .models import Model, SplitBudgetExceeded, linearize, violations
 from .models import inductive  # noqa: F401  (perfbench/tracing.py patches it)
-from .polyhedra import ResourceExhausted, RowCapExceeded, check_deadline, memo
+from .polyhedra import ResourceExhausted, RowCapExceeded, SolverTimeout, memo
 from .syntax import Program
 
 UNKNOWN_NOT_SOLVED = "not-solved"
@@ -40,9 +42,7 @@ UNKNOWN_SPLIT_BUDGET = SplitBudgetExceeded.reason
 class Config:
     max_k: int = 8
     widen_delay: int = 1
-    narrow: bool = True
     timeout_s: float | None = None
-    trace: bool = False
 
 
 @dataclass
@@ -60,35 +60,30 @@ class SolveOutcome:
 
 def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
     cfg = cfg or Config()
-    if trace is None and cfg.trace:
-        import sys
-        trace = lambda msg: print(msg, file=sys.stderr)
     deadline = time.monotonic() + cfg.timeout_s if cfg.timeout_s is not None else None
     stats: list[dict] = []
     k = 0
     current = kdim(p, 0)
     accumulated = Model()
-    with memo():
+    with memo(deadline):
         try:
             while True:
                 began = time.monotonic()
-                verdict = solve_linear(current, widen_delay=cfg.widen_delay,
-                                       narrow=cfg.narrow, deadline=deadline,
-                                       trace=trace)
+                verdict = solve_linear(current, widen_delay=cfg.widen_delay, trace=trace)
                 entry = {"k": k, "clauses": len(current.clauses),
                          "solved": verdict.solved, "seconds": time.monotonic() - began,
                          "check_s": 0.0, "violated": None}
                 stats.append(entry)
                 if trace:
-                    trace(f"k={k} clauses={entry['clauses']} linear-solve="
-                          f"{'solved' if verdict.solved else 'not solved'} "
+                    linear = "solved" if verdict.solved else f"not solved: {verdict.reason}"
+                    trace(f"k={k} clauses={entry['clauses']} linear-solve={linear} "
                           f"({entry['seconds']:.2f}s)")
                 if not verdict.solved:
                     return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
                 assert accumulated.facts.keys().isdisjoint(verdict.model.facts)
                 accumulated.facts.update(verdict.model.facts)
                 began = time.monotonic()
-                failed = violations(accumulated, p, deadline)
+                failed = violations(accumulated, p)
                 entry["check_s"] = time.monotonic() - began
                 entry["violated"] = [c.id for c in failed]
                 if trace:
@@ -96,10 +91,9 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
                           f"violated={entry['violated']} check={entry['check_s']:.2f}s")
                 if not failed:
                     return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
-                check_deadline(deadline)
                 if k + 1 > cfg.max_k:
                     return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
                 k += 1
-                current = linearize(kdim(p, k, k), accumulated, deadline)
+                current = linearize(kdim(p, k, k), accumulated)
         except ResourceExhausted as e:
             return SolveOutcome("unknown", None, e.reason, k, stats)

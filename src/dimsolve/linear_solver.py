@@ -4,14 +4,15 @@ Computes one convex polyhedron per predicate as an over-approximation of the
 least model, by synchronous Kleene rounds with widening after a configurable
 number of growth steps.  The approximation counts as a solution when every
 ``false`` variant stays empty; if a false variant becomes feasible the engine
-first tries a bounded descending (narrowing) phase to recover precision, and
+always tries a bounded descending (narrowing) phase to recover precision, and
 reports NotSolved if that fails.  Narrowing is deliberately *not* run when
 the false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
-inside ``polyhedra.memo()``, reusing the caller's table when there is one.
+inside ``polyhedra.memo()``, reusing the caller's table and deadline when
+there is one.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
-from .polyhedra import Polyhedron, ResourceExhausted, check_deadline, memo
-from .polyhedra import SolverTimeout  # noqa: F401  (re-exported)
+from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
 
 
@@ -106,8 +106,7 @@ def _to_model(s: AbstractState) -> Model:
     return m
 
 
-def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
-                 deadline: float | None = None, trace=None) -> LinearVerdict:
+def solve_linear(p: Program, widen_delay: int = 1, trace=None) -> LinearVerdict:
     if not is_linear(p):
         raise NonLinearProgram("solve_linear requires a linear program")
     npreds = max(len(p.signatures), 1)
@@ -117,7 +116,6 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
         state = AbstractState()
         rounds = 0
         while True:
-            check_deadline(deadline)
             nxt = step(p, state, widen_delay)
             rounds += 1
             if stabilized(state, nxt):
@@ -127,9 +125,8 @@ def solve_linear(p: Program, widen_delay: int = 1, narrow: bool = True,
                 raise NoFixpoint("fixpoint iteration failed to stabilize")
         if trace:
             trace(f"fixpoint after {rounds} rounds")
-        if narrow and _false_feasible(state):
+        if _false_feasible(state):
             for i in range(npreds + 2):
-                check_deadline(deadline)
                 refined = AbstractState(_contributions(p, state), dict(state.changes))
                 if stabilized(state, refined):
                     break

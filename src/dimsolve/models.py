@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .polyhedra import Polyhedron, ResourceExhausted, check_deadline
+from .polyhedra import Polyhedron, ResourceExhausted
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, Var,
                      canonical_params, render_atom)
 from .terms import Constraint
@@ -189,21 +189,16 @@ def _maximal(m: Model) -> Model:
     return out
 
 
-def violations(m: Model, p: Program, deadline: float | None = None) -> list[Clause]:
+def violations(m: Model, p: Program) -> list[Clause]:
     """The clauses of ``p`` that the index-erased model does not satisfy."""
     reduced = _maximal(m.erase_indices())
-    out = []
-    for c in p.clauses:
-        check_deadline(deadline)
-        if not satisfies_clause(reduced, c):
-            out.append(c)
-    return out
+    return [c for c in p.clauses if not satisfies_clause(reduced, c)]
 
 
 # ---------------------------------------------------------------------------
 # linearization
 
-def linearize(p_next: Program, s: Model, deadline: float | None = None) -> Program:
+def linearize(p_next: Program, s: Model) -> Program:
     """Substitute the solved interpretations for every body atom below the
     top dimension level of ``p_next``; one clause per disjunct combination,
     unsatisfiable results dropped, constraints projected onto the variables
@@ -212,7 +207,6 @@ def linearize(p_next: Program, s: Model, deadline: float | None = None) -> Progr
     level = max((pred.d for pred in p_next.signatures if pred.indexed), default=0)
     out: list[Clause] = []
     for c in p_next.clauses:
-        check_deadline(deadline)
         keep: list[Atom] = []
         substitute: list[Atom] = []
         for a in c.body:

@@ -145,7 +145,8 @@ class _Parser:
             pred, args = self.atom(in_head=False)
             if pred == FALSE:
                 self.error("'false' is reserved for clause heads")
-            body.append(_RawAtom(pred, tuple(args)))
+            # integer arguments stay until normalize_clause replaces them
+            body.append(Atom(pred, tuple(args)))
         else:
             constraints.append(self.constraint())
 
@@ -264,13 +265,6 @@ class _Parser:
         raise ParseError(f"expected term, found {t.text!r}", t.line, t.col)
 
 
-@dataclass(frozen=True)
-class _RawAtom:
-    """Body atom that still carries integer literal arguments."""
-    pred: PredRef
-    args: tuple
-
-
 def parse(text: str) -> Program:
     """Parse and normalize a program."""
     raw = _Parser(text).program()
@@ -282,14 +276,8 @@ def parse(text: str) -> Program:
         for c in constraints:
             used.update(c.vars())
         clauses.append(normalize_clause(i + 1, head_pred, head_args, constraints,
-                                        [_as_atom(b) for b in body], used))
+                                        body, used))
     return Program.from_clauses(clauses)
-
-
-def _as_atom(b) -> Atom:
-    if isinstance(b, Atom):
-        return b
-    return Atom(b.pred, tuple(b.args))
 
 
 def parse_model_facts(text: str) -> list[tuple[Atom, list[Constraint]]]:

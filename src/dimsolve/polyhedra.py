@@ -10,9 +10,12 @@ Everything is exact; no floating point anywhere.
 ``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
 dimensions and constraints of their operands (a ``Polyhedron`` is
 immutable), so inside a ``memo()`` block each distinct call is computed once
-and its result reused.  The table lives in a context variable: it is shared
-by nested blocks and dropped when the outermost block exits, so it never
-outlives the solve that opened it.  Outside a block nothing is stored.
+and its result reused.  The block also holds the solve's deadline, which
+``_eliminate`` checks on entry and once per elimination step, so the
+deadline holds inside a single hull or clause check.  Table and deadline
+live in context variables: nested blocks share them, and the outermost
+block drops both on exit.  Outside a block nothing is stored and no clock
+is read.
 """
 
 from __future__ import annotations
@@ -46,26 +49,31 @@ class SolverTimeout(ResourceExhausted):
 
 
 _MEMO: ContextVar[dict | None] = ContextVar("polyhedra_memo", default=None)
+_DEADLINE: ContextVar[float | None] = ContextVar("polyhedra_deadline", default=None)
 _MISSING = object()
 
 
 @contextmanager
-def memo():
-    """Share the results of the pure polyhedral operations within the block.
+def memo(deadline: float | None = None):
+    """Share the results of the pure polyhedral operations within the block,
+    and make them raise ``SolverTimeout`` once the ``time.monotonic``
+    ``deadline`` has passed.
 
-    Installs a fresh table, or reuses the one already active, and yields it;
-    the previous table (or none) is restored on exit.
+    Installs a fresh table and the deadline, yields the table, and restores
+    the previous state on exit.  Inside an active block it yields that
+    block's table and keeps that block's deadline, ignoring ``deadline``.
     """
     table = _MEMO.get()
     if table is not None:
         yield table
         return
     table = {}
-    token = _MEMO.set(table)
+    tokens = _MEMO.set(table), _DEADLINE.set(deadline)
     try:
         yield table
     finally:
-        _MEMO.reset(token)
+        _MEMO.reset(tokens[0])
+        _DEADLINE.reset(tokens[1])
 
 
 def _memoized(key, compute):
@@ -82,8 +90,9 @@ def _memoized(key, compute):
     return out
 
 
-def check_deadline(deadline: float | None) -> None:
-    """Raise ``SolverTimeout`` once the ``time.monotonic`` deadline has passed."""
+def _check_deadline() -> None:
+    """Raise ``SolverTimeout`` once the active block's deadline has passed."""
+    deadline = _DEADLINE.get()
     if deadline is not None and time.monotonic() > deadline:
         raise SolverTimeout
 
@@ -112,11 +121,13 @@ def _prune(rows: list[Constraint]) -> list[Constraint] | None:
 
 def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | None:
     """Eliminate the given variables; None when the system is infeasible."""
+    _check_deadline()
     rows = _prune(rows)
     if rows is None:
         return None
     remaining = set(elim)
     while remaining:
+        _check_deadline()
         coeffs = [dict(r.terms) for r in rows]  # read once per step
         # equalities allow exact substitution; do those first, taking the
         # first variable by name and its first equality in row order

@@ -3,14 +3,14 @@
 All constraints are kept in the normal form ``sum(coeff_i * var_i) + const REL 0``
 with integer coefficients reduced by their common gcd.  The core is
 integer-only: combinations and substitutions take integer weights, so every
-intermediate coefficient is an integer.  ``Constraint.make`` still accepts
-rational inputs and clears their denominators.
+intermediate coefficient is an integer, and ``Constraint.make`` accepts
+integers only (a ``Fraction`` raises ``TypeError``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 # Relations of a normalized atomic constraint.  EQ and LE are the only forms
 # produced by program normalization; LT arises transiently when constraints
@@ -30,19 +30,14 @@ class Var:
         return self.name
 
 
-def _reduce(coeffs: dict, const):
-    """Clear denominators and divide by the gcd of all numbers involved.
-
-    Inputs are ints or rationals; ``denominator`` is 1 for an int."""
-    items = {v: c for v, c in coeffs.items() if c != 0}
-    denom = lcm(const.denominator, *(c.denominator for c in items.values()))
-    ints = {v: int(c * denom) for v, c in items.items()}
-    ic = int(const * denom)
-    g = gcd(ic, *ints.values())
+def _reduce(coeffs: dict[str, int], const: int):
+    """Drop zero coefficients and divide by the gcd of all numbers involved."""
+    ints = {v: c for v, c in coeffs.items() if c != 0}
+    g = gcd(const, *ints.values())
     if g > 1:
         ints = {v: c // g for v, c in ints.items()}
-        ic //= g
-    return ints, ic
+        const //= g
+    return ints, const
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dimsolve.linear_solver import AbstractState, _false_feasible, stabilized, step
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron
 from dimsolve.terms import EQ, LE, LT, Constraint
@@ -31,6 +32,25 @@ t(H, N) :- H >= 1, H1 = H - 1, H2 >= 0, H2 =< H - 1, H3 >= 0, H3 =< H - 1,
            t(H1, N1), t(H2, N2), t(H3, N3), N = N1 + N2 + N3 + 1.
 false :- t(H, N), N < 2*H + 1.
 """
+
+# Its widened interpretation grazes the error states: plain ``step`` rounds
+# leave ``false`` feasible, and only the descending (narrowing) pass of
+# ``solve_linear`` proves it empty.
+GRAZE_SRC = """\
+p(X) :- X = 2.
+p(Y) :- Y = X + 1, Y =< 3, p(X).
+false :- X >= 6, p(X).
+"""
+
+
+def false_feasible_without_narrowing(program) -> bool:
+    """Run plain ``step`` rounds until ``stabilized``; is ``false`` feasible?"""
+    state = AbstractState()
+    while True:
+        nxt = step(program, state)
+        if stabilized(state, nxt):
+            return _false_feasible(state)
+        state = nxt
 
 
 @pytest.fixture

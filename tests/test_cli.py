@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from dimsolve.cli import main
+from dimsolve.parser import parse
+
+from conftest import GRAZE_SRC, false_feasible_without_narrowing
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 BENCH = os.path.join(ROOT, "benchmarks")
@@ -135,14 +138,14 @@ def test_solve_linear_rejects_nonlinear(tmp_path, capsys):
     assert code == 1
 
 
-def test_narrow_flag_controls_recovery(tmp_path, capsys):
+def test_solve_linear_recovers_by_narrowing(tmp_path, capsys):
+    assert false_feasible_without_narrowing(parse(GRAZE_SRC))
     f = tmp_path / "graze.pl"
-    f.write_text("p(X) :- X = 2.\np(Y) :- Y = X + 1, Y =< 3, p(X).\n"
-                 "false :- X >= 6, p(X).\n")
+    f.write_text(GRAZE_SRC)
     code, _, _ = run_cli(["solve-linear", str(f)], capsys)
     assert code == 0
-    code, out, _ = run_cli(["solve-linear", "--narrow", "0", str(f)], capsys)
-    assert code == 2 and "NOT SOLVED" in out
+    code, _, err = run_cli(["solve-linear", "--narrow", "0", str(f)], capsys)
+    assert code == 1 and "unrecognized arguments" in err
 
 
 def test_dump_trees_and_dim_subcommand(tmp_path, capsys):

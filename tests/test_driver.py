@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -106,8 +107,11 @@ def test_stats_recorded(fib_bench):
 
 
 def test_stats_of_unsolved_level_have_no_check():
-    out = solve(parse("false :- X=1, p(X).\np(X) :- X=1."))
+    lines = []
+    out = solve(parse("false :- X=1, p(X).\np(X) :- X=1."), trace=lines.append)
     assert [(e["violated"], e["check_s"]) for e in out.stats] == [(None, 0.0)]
+    assert ("linear-solve=not solved: false variant reachable in the abstraction"
+            in lines[-1])
 
 
 def test_tree3_deep_ends_max_k(tree3):
@@ -149,13 +153,18 @@ def test_level_program_solves_like_the_full_program(fib, tree3):
 
 @pytest.mark.parametrize("layer, k", [("violations", 0), ("linearize", 1)])
 def test_timeout_in_check_and_linearize(fib_bench, monkeypatch, layer, k):
-    # only ``layer`` sees the deadline, which has passed before it runs
-    monkeypatch.setattr(linear_solver, "check_deadline", lambda deadline: None)
-    monkeypatch.setattr(driver, "check_deadline", lambda deadline: None)
-    if layer == "linearize":
-        monkeypatch.setattr(driver, "violations",
-                            lambda m, p, deadline: models.violations(m, p))
-    out = solve(fib_bench, Config(timeout_s=0.0))
+    # the clock stands still until ``layer`` starts and then jumps past the
+    # deadline, so only the eliminations inside that layer can see it
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    original = getattr(driver, layer)
+
+    def jump(*args):
+        clock[0] = 100.0
+        return original(*args)
+
+    monkeypatch.setattr(driver, layer, jump)
+    out = solve(fib_bench, Config(timeout_s=1.0))
     assert out.status == "unknown"
     assert out.reason == UNKNOWN_TIMEOUT
     assert out.k_reached == k

@@ -8,7 +8,7 @@ from dimsolve.parser import parse
 from dimsolve.syntax import ATMOST, EXACT, PredRef
 from dimsolve.terms import EQ
 
-from conftest import C, poly
+from conftest import GRAZE_SRC, C, false_feasible_without_narrowing, poly
 
 SEG0 = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1), C({"A": 1, "B": -1}, 0, EQ))
 
@@ -116,10 +116,6 @@ def test_monotone_rounds_pre_widening(fib):
 def test_narrowing_recovers_spurious_false():
     # the extrapolated interpretation grazes the error states; a descending
     # pass restores the exact bounded interpretation and proves them empty
-    src = """\
-p(X) :- X = 2.
-p(Y) :- Y = X + 1, Y =< 3, p(X).
-false :- X >= 6, p(X).
-"""
-    assert solve_linear(parse(src), narrow=True).solved
-    assert not solve_linear(parse(src), narrow=False).solved
+    program = parse(GRAZE_SRC)
+    assert false_feasible_without_narrowing(program)
+    assert solve_linear(program).solved

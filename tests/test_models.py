@@ -10,7 +10,7 @@ from dimsolve.models import (ConstrainedFact, Model, SplitBudgetExceeded,
                              inductive, linearize, satisfies_clause,
                              violations)
 from dimsolve.parser import parse
-from dimsolve.polyhedra import Polyhedron, SolverTimeout
+from dimsolve.polyhedra import Polyhedron, SolverTimeout, memo
 from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
 from dimsolve.terms import EQ
 
@@ -340,8 +340,10 @@ def test_violations_agree_with_unpruned_check(fib, tree3):
 
 
 def test_violations_and_linearize_honor_deadline(fib):
-    past = time.monotonic() - 1.0
-    with pytest.raises(SolverTimeout):
-        violations(seg0_model(), fib, deadline=past)
-    with pytest.raises(SolverTimeout):
-        linearize(kdim(fib, 1), s0_for(), deadline=past)
+    # built outside the block: building a model already runs eliminations
+    model, level1, s0 = seg0_model(), kdim(fib, 1), s0_for()
+    with memo(deadline=time.monotonic() - 1.0):
+        with pytest.raises(SolverTimeout):
+            violations(model, fib)
+        with pytest.raises(SolverTimeout):
+            linearize(level1, s0)

@@ -2,11 +2,13 @@
 grid / generator oracles that also run in the randomized suites below."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dimsolve.polyhedra import DimensionMismatch, Polyhedron
+from dimsolve import polyhedra
+from dimsolve.polyhedra import DimensionMismatch, Polyhedron, SolverTimeout, memo
 from dimsolve.terms import EQ, LT, Constraint
 
 from conftest import C, grid_points, poly, random_poly
@@ -216,3 +218,55 @@ def test_sat_grid_agreement_random():
         p = random_poly(rng, ("x", "y", "z"))
         if any(p.eval_point(pt) for pt in grid_points(("x", "y", "z"))):
             assert p.sat()
+
+
+# --- deadline ------------------------------------------------------------
+
+def _box():
+    # a fresh polyhedron each call, so no per-instance cache answers ``sat``
+    return poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1), C({"A": 1, "B": -1}, 0))
+
+
+def test_sat_times_out_only_inside_a_block():
+    with memo(deadline=time.monotonic() - 1.0):
+        with pytest.raises(SolverTimeout):
+            _box().sat()
+    assert _box().sat()
+
+
+def test_nested_memo_inherits_the_deadline():
+    with memo(deadline=time.monotonic() - 1.0):
+        with memo():
+            with pytest.raises(SolverTimeout):
+                _box().sat()
+
+
+def test_no_deadline_or_table_after_a_block():
+    with memo(deadline=time.monotonic() + 60.0):
+        assert _box().sat()
+    assert (polyhedra._MEMO.get(), polyhedra._DEADLINE.get()) == (None, None)
+    with pytest.raises(SolverTimeout):
+        with memo(deadline=time.monotonic() - 1.0):
+            _box().sat()
+    assert (polyhedra._MEMO.get(), polyhedra._DEADLINE.get()) == (None, None)
+    assert _box().sat()
+
+
+def test_deadline_passes_inside_one_elimination(monkeypatch):
+    names = tuple(f"X{i}" for i in range(6))
+    chain = [C({a: 1, b: -1}, 0) for a, b in zip(names, names[1:])]  # X0 =< ... =< X5
+    reads = []
+
+    def clock():  # passes the deadline of 5.0 from its third read on
+        reads.append(None)
+        return 0.0 if len(reads) < 3 else 10.0
+
+    monkeypatch.setattr(time, "monotonic", clock)
+    with memo(deadline=float("inf")):
+        assert poly(names, *chain).sat()
+    full = len(reads)  # one read on entry and one per elimination step
+    reads.clear()
+    with memo(deadline=5.0):
+        with pytest.raises(SolverTimeout):
+            poly(names, *chain).sat()
+    assert len(reads) == 3 < full

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from dimsolve.terms import EQ, LE, LT, Constraint, linear_combination, render_constraint
@@ -11,10 +15,21 @@ def test_gcd_reduction():
     assert c.const == 3
 
 
-def test_fraction_clearing():
-    c = Constraint.make({"A": Fraction(1, 2), "B": Fraction(1, 3)}, Fraction(-1, 6), EQ)
-    assert c.terms == (("A", 3), ("B", 2))
-    assert c.const == -1
+def test_make_rejects_fractions():
+    # the core is integer-only; a rational input is a caller's bug
+    with pytest.raises(TypeError):
+        Constraint.make({"A": Fraction(1, 2), "B": Fraction(1, 3)}, Fraction(-1, 6), EQ)
+    with pytest.raises(TypeError):
+        Constraint.make({"A": 1}, Fraction(1, 2), LE)
+
+
+def test_core_does_not_import_fractions():
+    # run in a fresh interpreter: this test module itself imports fractions
+    probe = "import sys, dimsolve; print('fractions' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_equality_sign_canonical():
