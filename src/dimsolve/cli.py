@@ -165,6 +165,8 @@ def _run(args) -> int:
                 else program.clauses[0].head.pred if program.clauses else None)
         if root is None:
             return _fail("empty program has no trees")
+        if root not in {c.head.pred for c in program.clauses}:
+            return _fail(f"no clause has head {root}")
         for i, t in enumerate(enumerate_trees(program, root, args.max_nodes)):
             if i >= args.dump_trees:
                 break

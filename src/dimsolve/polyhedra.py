@@ -7,6 +7,16 @@ the classic constraint-based operator extended with the usual refinement that
 keeps constraints of the new polyhedron able to stand in for a dropped one.
 Everything is exact; no floating point anywhere.
 
+``_eliminate`` packs its input rows once as ``(coefficients, const, rel)``
+triples: one integer coefficient per name, over the sorted names of the
+input rows.  It combines them with integer arithmetic, keeps each row in
+``Constraint.make``'s normal form (gcd-reduced, an equality's first nonzero
+coefficient positive), and builds ``Constraint``s only for its result.  The
+elimination order is fixed by the names: equalities first, substituting
+away the smallest-named variable that an equality mentions, through the
+first such equality in row order; then Fourier-Motzkin on the variable with
+the fewest pos*neg pairings, ties going to the smallest name.
+
 ``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
 dimensions and constraints of their operands (a ``Polyhedron`` is
 immutable), so inside a ``memo()`` block each distinct call is computed once
@@ -23,8 +33,10 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from math import gcd
 
-from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, linear_combination
+from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT
+from .terms import linear_combination  # noqa: F401  (perfbench/tracing.py patches it)
 
 _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
 
@@ -119,76 +131,146 @@ def _prune(rows: list[Constraint]) -> list[Constraint] | None:
     return list(eqs.values()) + list(ineqs.values())
 
 
+def _prune_rows(rows):
+    """``_prune`` on packed rows, keyed on the coefficient tuple."""
+    eqs = {}
+    ineqs = {}
+    for r in rows:
+        cs, const, rel = r
+        if not any(cs):
+            if rel == EQ and const != 0 or rel == LE and const > 0 or rel == LT and const >= 0:
+                return None
+            continue
+        if rel == EQ:
+            eqs.setdefault((cs, const), r)
+        else:
+            old = ineqs.get(cs)
+            # same left-hand side: keep the stronger bound
+            if old is None or (const, rel == LT) > (old[1], old[2] == LT):
+                ineqs[cs] = r
+    return list(eqs.values()) + list(ineqs.values())
+
+
+def _combine(w1, r1, w2, r2, rel):
+    """``w1*r1 + w2*r2`` as a packed row in ``Constraint.make``'s normal form:
+    divided by the gcd of all its numbers, and for ``=`` rows with the first
+    nonzero coefficient positive."""
+    cs = [w1 * a + w2 * b for a, b in zip(r1[0], r2[0])]
+    const = w1 * r1[1] + w2 * r2[1]
+    g = gcd(const, *cs)
+    if g > 1:
+        cs = [c // g for c in cs]
+        const //= g
+    if rel == EQ:
+        for c in cs:
+            if c:
+                if c < 0:
+                    cs = [-c for c in cs]
+                    const = -const
+                break
+    return tuple(cs), const, rel
+
+
 def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | None:
-    """Eliminate the given variables; None when the system is infeasible."""
+    """Eliminate the variables ``elim``; None when the system is infeasible.
+
+    The rows are packed once as ``(coefficients, const, rel)`` triples, with
+    one integer coefficient per name in the sorted names of the input rows.
+    They are combined with integer arithmetic, and only the result is
+    unpacked into ``Constraint``s.  Each step eliminates one variable:
+    while an equality mentions a variable of ``elim``, the smallest such
+    name is substituted away through its first equality in row order; then
+    Fourier-Motzkin eliminates the variable with the fewest pos*neg
+    pairings, ties going to the smallest name.  The deadline is checked on
+    entry and once per step.
+    """
     _check_deadline()
-    rows = _prune(rows)
+    names = sorted({v for r in rows for v, _ in r.terms})
+    col = {v: j for j, v in enumerate(names)}
+    packed = []
+    for r in rows:
+        cs = [0] * len(names)
+        for v, k in r.terms:
+            cs[col[v]] = k
+        packed.append((tuple(cs), r.const, r.rel))
+    rows = _prune_rows(packed)
     if rows is None:
         return None
     remaining = set(elim)
+    # Fourier-Motzkin only makes inequalities, so once no equality mentions
+    # a remaining variable, none does again
     while remaining:
+        eq = None
+        eqs = [r for r in rows if r[2] == EQ]
+        for v in sorted(remaining) if eqs else ():
+            j = col.get(v)
+            if j is not None:
+                eq = next((r for r in eqs if r[0][j]), None)
+                if eq is not None:
+                    break
+        if eq is None:
+            break
         _check_deadline()
-        coeffs = [dict(r.terms) for r in rows]  # read once per step
-        # equalities allow exact substitution; do those first, taking the
-        # first variable by name and its first equality in row order
-        first_eq: dict[str, int] = {}
-        for i, r in enumerate(rows):
-            if r.rel == EQ:
-                for v in coeffs[i]:
-                    if v in remaining:
-                        first_eq.setdefault(v, i)
-        if first_eq:
-            v = min(first_eq)
-            i = first_eq[v]
-            eq, a = rows[i], coeffs[i][v]
-            new_rows = []
-            for r, cs in zip(rows, coeffs):
-                if r is eq:
-                    continue
-                b = cs.get(v, 0)
-                if b == 0:
-                    new_rows.append(r)
-                else:
-                    # cross-multiply; the weight on r stays positive so an
-                    # inequality keeps its direction
-                    new_rows.append(linear_combination(
-                        [(abs(a), r), (-b if a > 0 else b, eq)], r.rel))
-            rows = _prune(new_rows)
-            if rows is None:
-                return None
-            remaining.discard(v)
-            continue
-        # Fourier-Motzkin on the variable with the fewest pos*neg pairings
-        npos = dict.fromkeys(remaining, 0)
-        nneg = dict.fromkeys(remaining, 0)
-        for cs in coeffs:
-            for v, c in cs.items():
-                if v in remaining:
-                    if c > 0:
-                        npos[v] += 1
-                    else:
-                        nneg[v] += 1
-        v = min(remaining, key=lambda u: (npos[u] * nneg[u], u))
-        pos, neg, rest = [], [], []
-        for r, cs in zip(rows, coeffs):
-            c = cs.get(v, 0)
-            if c > 0:
-                pos.append((r, c))
-            elif c < 0:
-                neg.append((r, c))
+        a = eq[0][j]
+        new_rows = []
+        for r in rows:
+            if r is eq:
+                continue
+            b = r[0][j]
+            if b == 0:
+                new_rows.append(r)
             else:
-                rest.append(r)
-        for p, cp in pos:
-            for n, cn in neg:
-                rel = LT if LT in (p.rel, n.rel) else LE
-                rest.append(linear_combination([(-cn, p), (cp, n)], rel))
-                if len(rest) > _ROW_CAP:
-                    raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
-        rows = _prune(rest)
+                # cross-multiply; the weight on r stays positive so an
+                # inequality keeps its direction
+                new_rows.append(_combine(abs(a), r, -b if a > 0 else b, eq, r[2]))
+        rows = _prune_rows(new_rows)
         if rows is None:
             return None
         remaining.discard(v)
-    return rows
+    while remaining:
+        _check_deadline()
+        # Fourier-Motzkin on the variable with the fewest pos*neg pairings
+        best = None
+        for v in remaining:
+            j = col.get(v)
+            npos = nneg = 0
+            if j is not None:
+                for r in rows:
+                    c = r[0][j]
+                    if c > 0:
+                        npos += 1
+                    elif c < 0:
+                        nneg += 1
+            if best is None or (npos * nneg, v) < best:
+                best = (npos * nneg, v)
+        v = best[1]
+        remaining.discard(v)
+        j = col.get(v)
+        if j is None:
+            continue
+        pos, neg, rest = [], [], []
+        for r in rows:
+            c = r[0][j]
+            if c > 0:
+                pos.append(r)
+            elif c < 0:
+                neg.append(r)
+            else:
+                rest.append(r)
+        if not (pos and neg):
+            rows = rest  # a subsequence of pruned rows is pruned
+            continue
+        for p in pos:
+            for n in neg:
+                rel = LT if LT in (p[2], n[2]) else LE
+                rest.append(_combine(-n[0][j], p, p[0][j], n, rel))
+                if len(rest) > _ROW_CAP:
+                    raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
+        rows = _prune_rows(rest)
+        if rows is None:
+            return None
+    return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
+            for cs, const, rel in rows]
 
 
 class Polyhedron:

@@ -137,8 +137,9 @@ def render_constraint(c: Constraint) -> str:
 
 
 def linear_combination(parts: list[tuple[int, Constraint]], rel: str) -> Constraint:
-    """Integer-weighted sum of constraints, used by Fourier-Motzkin.  The
-    weight on every inequality must be positive, or its direction flips."""
+    """Integer-weighted sum of constraints.  The weight on every inequality
+    must be positive, or its direction flips.  Fourier-Motzkin no longer
+    calls it: ``polyhedra._eliminate`` combines packed integer rows."""
     coeffs: dict[str, int] = {}
     const = 0
     for w, c in parts:

@@ -89,8 +89,9 @@ def test_usage_error_exit_one(capsys):
     (["--dump-trees", "-2"], "dimsolve: --dump-trees must be nonnegative\n"),
     (["--timeout-s", "-1"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),
+    (["--dump-trees", "2", "--root", "nosuch"], "dimsolve: no clause has head nosuch\n"),
 ], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
-        "timeout-s-negative", "timeout-s-nan"])
+        "timeout-s-negative", "timeout-s-nan", "dump-trees-root"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"

@@ -9,9 +9,9 @@ import pytest
 
 from dimsolve import polyhedra
 from dimsolve.polyhedra import DimensionMismatch, Polyhedron, SolverTimeout, memo
-from dimsolve.terms import EQ, LT, Constraint
+from dimsolve.terms import EQ, LE, LT, Constraint, linear_combination
 
-from conftest import C, grid_points, poly, random_poly
+from conftest import C, grid_points, poly, random_constraint, random_poly
 
 
 # --- sat ---------------------------------------------------------------
@@ -218,6 +218,100 @@ def test_sat_grid_agreement_random():
         p = random_poly(rng, ("x", "y", "z"))
         if any(p.eval_point(pt) for pt in grid_points(("x", "y", "z"))):
             assert p.sat()
+
+
+# --- the integer-row kernel against the Constraint-level elimination ----
+
+def _reference_eliminate(rows, elim):
+    """``_eliminate`` as it was on ``Constraint`` rows, without the deadline."""
+    rows = polyhedra._prune(rows)
+    if rows is None:
+        return None
+    remaining = set(elim)
+    while remaining:
+        coeffs = [dict(r.terms) for r in rows]
+        first_eq = {}
+        for i, r in enumerate(rows):
+            if r.rel == EQ:
+                for v in coeffs[i]:
+                    if v in remaining:
+                        first_eq.setdefault(v, i)
+        if first_eq:
+            v = min(first_eq)
+            eq, a = rows[first_eq[v]], coeffs[first_eq[v]][v]
+            new_rows = []
+            for r, cs in zip(rows, coeffs):
+                b = cs.get(v, 0)
+                if r is eq:
+                    continue
+                new_rows.append(r if b == 0 else linear_combination(
+                    [(abs(a), r), (-b if a > 0 else b, eq)], r.rel))
+            rows = polyhedra._prune(new_rows)
+            if rows is None:
+                return None
+            remaining.discard(v)
+            continue
+        npos = dict.fromkeys(remaining, 0)
+        nneg = dict.fromkeys(remaining, 0)
+        for cs in coeffs:
+            for v, c in cs.items():
+                if v in remaining:
+                    (npos if c > 0 else nneg)[v] += 1
+        v = min(remaining, key=lambda u: (npos[u] * nneg[u], u))
+        pos = [(r, cs[v]) for r, cs in zip(rows, coeffs) if cs.get(v, 0) > 0]
+        neg = [(r, cs[v]) for r, cs in zip(rows, coeffs) if cs.get(v, 0) < 0]
+        rest = [r for r, cs in zip(rows, coeffs) if cs.get(v, 0) == 0]
+        for p, cp in pos:
+            for n, cn in neg:
+                rel = LT if LT in (p.rel, n.rel) else LE
+                rest.append(linear_combination([(-cn, p), (cp, n)], rel))
+                if len(rest) > polyhedra._ROW_CAP:
+                    raise polyhedra.RowCapExceeded
+        rows = polyhedra._prune(rest)
+        if rows is None:
+            return None
+        remaining.discard(v)
+    return rows
+
+
+def _random_system(rng):
+    """Raw rows (duplicates and trivial rows included) or a pruned polyhedron's
+    rows, over 2-5 variables, and a random set of names to eliminate that may
+    include a name no row mentions."""
+    dims = ("A", "B", "C", "D", "E")[:rng.randint(2, 5)]
+    coeff_range = rng.choice([(-1, 1), (-2, 2), (-4, 4)])
+    if rng.random() < 0.5:
+        rows = [random_constraint(rng, dims, coeff_range) for _ in range(rng.randint(1, 8))]
+    else:
+        rows = list(random_poly(rng, dims, rng.randint(1, 8), coeff_range).constraints)
+    elim = {v for v in dims + ("Z",) if rng.random() < 0.6}
+    return rows, elim
+
+
+def _outcome(fn, rows, elim):
+    try:
+        return fn(rows, elim)
+    except polyhedra.RowCapExceeded:
+        return "row cap"
+
+
+def test_kernel_matches_reference_elimination(monkeypatch):
+    rng = random.Random(20261018)
+    systems = [_random_system(rng) for _ in range(2500)]
+    seen = set()
+    for rows, elim in systems:
+        out = polyhedra._eliminate(rows, elim)
+        assert out == _reference_eliminate(rows, elim), (rows, elim)
+        seen.add(out is None)
+        seen.update(c.rel for c in out or ())
+    assert seen == {True, False, EQ, LE, LT}  # infeasible, feasible, every relation
+    monkeypatch.setattr(polyhedra, "_ROW_CAP", 6)
+    capped = 0
+    for rows, elim in systems:
+        out = _outcome(polyhedra._eliminate, rows, elim)
+        assert out == _outcome(_reference_eliminate, rows, elim), (rows, elim)
+        capped += out == "row cap"
+    assert 0 < capped < len(systems)
 
 
 # --- deadline ------------------------------------------------------------
