@@ -19,7 +19,7 @@ import re
 import sys
 
 from .driver import Config, SolveOutcome, solve
-from .kdim import kdim
+from .kdim import IndexedInput, kdim
 from .linear_solver import NonLinearProgram, solve_linear
 from .parser import ParseError, parse
 from .polyhedra import ResourceExhausted
@@ -43,7 +43,6 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("solve", help="solve a set of Horn clauses")
     s.add_argument("file")
     s.add_argument("--max-k", type=int, default=8)
-    s.add_argument("--widen-delay", type=int, default=1)
     s.add_argument("--timeout-s", type=float, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--emit-model", metavar="PATH")
@@ -59,7 +58,6 @@ def _build_parser() -> _Parser:
 
     sl = sub.add_parser("solve-linear", help="run the linear solver once")
     sl.add_argument("file")
-    sl.add_argument("--widen-delay", type=int, default=1)
 
     d = sub.add_parser("dim", help="dimension of a dumped derivation tree")
     d.add_argument("file")
@@ -124,11 +122,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "solve-linear":
-        if args.widen_delay < 0:
-            return _fail("--widen-delay must be nonnegative")
         program = _parse_program(args.file)
         try:
-            verdict = solve_linear(program, widen_delay=args.widen_delay)
+            verdict = solve_linear(program)
         except NonLinearProgram as e:
             return _fail(e)
         except ResourceExhausted as e:
@@ -153,8 +149,6 @@ def _run(args) -> int:
         return _fail("--max-k must be nonnegative")
     if args.max_nodes < 1:
         return _fail("--max-nodes must be at least 1")
-    if args.widen_delay < 0:
-        return _fail("--widen-delay must be nonnegative")
     if args.dump_trees is not None and args.dump_trees < 0:
         return _fail("--dump-trees must be nonnegative")
     if args.timeout_s is not None and not args.timeout_s >= 0:  # NaN fails too
@@ -173,12 +167,14 @@ def _run(args) -> int:
             sys.stdout.write(render_tree(t))
             print(f"# dim={dim(t)} height={height(t)}")
         return 0
-    cfg = Config(max_k=args.max_k, widen_delay=args.widen_delay,
-                 timeout_s=args.timeout_s)
+    cfg = Config(max_k=args.max_k, timeout_s=args.timeout_s)
     trace = None
     if args.trace or os.environ.get("DIMSOLVE_TRACE") == "1":
         trace = lambda msg: print(msg, file=sys.stderr)
-    outcome: SolveOutcome = solve(program, cfg, trace=trace)
+    try:
+        outcome: SolveOutcome = solve(program, cfg, trace=trace)
+    except IndexedInput as e:
+        return _fail(f"{args.file}: {e}")
     if outcome.solved:
         rendered = outcome.model.render()
         if args.emit_model:

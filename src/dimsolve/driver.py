@@ -41,7 +41,6 @@ UNKNOWN_SPLIT_BUDGET = SplitBudgetExceeded.reason
 @dataclass
 class Config:
     max_k: int = 8
-    widen_delay: int = 1
     timeout_s: float | None = None
 
 
@@ -69,7 +68,7 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
         try:
             while True:
                 began = time.monotonic()
-                verdict = solve_linear(current, widen_delay=cfg.widen_delay, trace=trace)
+                verdict = solve_linear(current, trace=trace)
                 entry = {"k": k, "clauses": len(current.clauses),
                          "solved": verdict.solved, "seconds": time.monotonic() - began,
                          "check_s": 0.0, "violated": None}

@@ -41,13 +41,17 @@ def _bases(p: Program) -> list[str]:
     return sorted({pred.base for pred in p.signatures})
 
 
+class IndexedInput(ValueError):
+    """The input program already has indexed predicates."""
+
+
 def kdim(p: Program, k: int, lowest: int = 0) -> Program:
     if k < 0:
         raise ValueError("dimension bound must be nonnegative")
     if not 0 <= lowest <= k:
         raise ValueError("lowest level must lie in 0..k")
     if any(pred.indexed for pred in p.signatures):
-        raise ValueError("input program already contains indexed predicates")
+        raise IndexedInput("input program already contains indexed predicates")
 
     out: list[Clause] = []
     for c in p.clauses:

@@ -1,13 +1,14 @@
 """Fixpoint engine for linear Horn clause programs.
 
 Computes one convex polyhedron per predicate as an over-approximation of the
-least model, by synchronous Kleene rounds with widening after a configurable
-number of growth steps.  The approximation counts as a solution when every
-``false`` variant stays empty; if a false variant becomes feasible the engine
-always tries a bounded descending (narrowing) phase to recover precision, and
-reports NotSolved if that fails.  Narrowing is deliberately *not* run when
-the false variants are already empty: the extrapolated interpretations are
-what later iterations of the outer algorithm need.
+least model, by synchronous Kleene rounds that widen a predicate once it
+has grown more than ``_WIDEN_DELAY`` (one) times.  The approximation counts
+as a solution when every ``false`` variant stays empty; if a false variant
+becomes feasible the engine always tries a bounded descending (narrowing)
+phase to recover precision, and reports NotSolved if that fails.  Narrowing
+is deliberately *not* run when the false variants are already empty: the
+extrapolated interpretations are what later iterations of the outer
+algorithm need.
 
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
@@ -23,6 +24,8 @@ from dataclasses import dataclass, field
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
+
+_WIDEN_DELAY = 1  # growth steps a predicate takes before it is widened
 
 
 @dataclass
@@ -65,9 +68,9 @@ def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     return {pred: poly for pred, poly in new.items() if not poly.is_empty()}
 
 
-def step(p: Program, s: AbstractState, widen_delay: int = 1) -> AbstractState:
+def step(p: Program, s: AbstractState) -> AbstractState:
     """One Kleene round: join new contributions into the state, widening any
-    predicate that has already grown more than ``widen_delay`` times."""
+    predicate that has already grown more than ``_WIDEN_DELAY`` times."""
     contrib = _contributions(p, s)
     out = AbstractState(dict(s.interp), dict(s.changes))
     for pred, poly in contrib.items():
@@ -81,7 +84,7 @@ def step(p: Program, s: AbstractState, widen_delay: int = 1) -> AbstractState:
             continue  # old already covers the new contributions
         count = out.changes.get(pred, 0) + 1
         out.changes[pred] = count
-        out.interp[pred] = old.widen(grown) if count > widen_delay else grown
+        out.interp[pred] = old.widen(grown) if count > _WIDEN_DELAY else grown
     return out
 
 
@@ -106,17 +109,17 @@ def _to_model(s: AbstractState) -> Model:
     return m
 
 
-def solve_linear(p: Program, widen_delay: int = 1, trace=None) -> LinearVerdict:
+def solve_linear(p: Program, trace=None) -> LinearVerdict:
     if not is_linear(p):
         raise NonLinearProgram("solve_linear requires a linear program")
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
-    max_rounds = 10 * (widen_delay + total_constraints + 8) + 10 * npreds
+    max_rounds = 10 * (_WIDEN_DELAY + total_constraints + 8) + 10 * npreds
     with memo():
         state = AbstractState()
         rounds = 0
         while True:
-            nxt = step(p, state, widen_delay)
+            nxt = step(p, state)
             rounds += 1
             if stabilized(state, nxt):
                 break

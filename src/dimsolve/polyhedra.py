@@ -7,15 +7,17 @@ the classic constraint-based operator extended with the usual refinement that
 keeps constraints of the new polyhedron able to stand in for a dropped one.
 Everything is exact; no floating point anywhere.
 
-``_eliminate`` packs its input rows once as ``(coefficients, const, rel)``
-triples: one integer coefficient per name, over the sorted names of the
-input rows.  It combines them with integer arithmetic, keeps each row in
-``Constraint.make``'s normal form (gcd-reduced, an equality's first nonzero
-coefficient positive), and builds ``Constraint``s only for its result.  The
-elimination order is fixed by the names: equalities first, substituting
-away the smallest-named variable that an equality mentions, through the
-first such equality in row order; then Fourier-Motzkin on the variable with
-the fewest pos*neg pairings, ties going to the smallest name.
+A ``Constraint`` is the row ``(terms, const, rel)``.  ``_eliminate`` packs
+its input rows once as ``(coefficients, const, rel)`` triples: one integer
+coefficient per name, over the sorted names of the input rows.  It combines
+them with integer arithmetic, keeps each row in ``terms.normal_form``, and
+builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
+dominated rows of either form, both for ``Polyhedron`` and after every
+elimination step.  The elimination order is fixed by the names: equalities
+first, substituting away the smallest-named variable that an equality
+mentions, through the first such equality in row order; then
+Fourier-Motzkin on the variable with the fewest pos*neg pairings, ties
+going to the smallest name.
 
 ``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
 dimensions and constraints of their operands (a ``Polyhedron`` is
@@ -33,9 +35,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from math import gcd
 
-from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT
+from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, normal_form
 from .terms import linear_combination  # noqa: F401  (perfbench/tracing.py patches it)
 
 _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
@@ -109,66 +110,32 @@ def _check_deadline() -> None:
         raise SolverTimeout
 
 
-def _prune(rows: list[Constraint]) -> list[Constraint] | None:
-    """Drop trivial and dominated rows; None when a contradiction is found."""
-    eqs: dict[tuple, Constraint] = {}
-    ineqs: dict[tuple, Constraint] = {}
-    for r in rows:
-        if r.is_contradiction():
-            return None
-        if r.is_trivial():
-            continue
-        if r.rel == EQ:
-            eqs.setdefault((r.terms, r.const), r)
-            continue
-        old = ineqs.get(r.terms)
-        if old is None:
-            ineqs[r.terms] = r
-        else:
-            # same left-hand side: keep the stronger bound
-            if (r.const, r.rel == LT) > (old.const, old.rel == LT):
-                ineqs[r.terms] = r
-    return list(eqs.values()) + list(ineqs.values())
-
-
-def _prune_rows(rows):
-    """``_prune`` on packed rows, keyed on the coefficient tuple."""
+def _prune(rows):
+    """Drop trivial and dominated ``(lhs, const, rel)`` rows; None when a
+    contradiction is found.  ``lhs`` is a ``Constraint``'s terms or a packed
+    coefficient tuple; ``not any(lhs)`` holds for a constant row in both."""
     eqs = {}
     ineqs = {}
     for r in rows:
-        cs, const, rel = r
-        if not any(cs):
+        lhs, const, rel = r
+        if not any(lhs):
             if rel == EQ and const != 0 or rel == LE and const > 0 or rel == LT and const >= 0:
                 return None
             continue
         if rel == EQ:
-            eqs.setdefault((cs, const), r)
+            eqs.setdefault((lhs, const), r)
         else:
-            old = ineqs.get(cs)
+            old = ineqs.get(lhs)
             # same left-hand side: keep the stronger bound
             if old is None or (const, rel == LT) > (old[1], old[2] == LT):
-                ineqs[cs] = r
+                ineqs[lhs] = r
     return list(eqs.values()) + list(ineqs.values())
 
 
 def _combine(w1, r1, w2, r2, rel):
-    """``w1*r1 + w2*r2`` as a packed row in ``Constraint.make``'s normal form:
-    divided by the gcd of all its numbers, and for ``=`` rows with the first
-    nonzero coefficient positive."""
-    cs = [w1 * a + w2 * b for a, b in zip(r1[0], r2[0])]
-    const = w1 * r1[1] + w2 * r2[1]
-    g = gcd(const, *cs)
-    if g > 1:
-        cs = [c // g for c in cs]
-        const //= g
-    if rel == EQ:
-        for c in cs:
-            if c:
-                if c < 0:
-                    cs = [-c for c in cs]
-                    const = -const
-                break
-    return tuple(cs), const, rel
+    """``w1*r1 + w2*r2`` as a packed row in ``normal_form``."""
+    return normal_form([w1 * a + w2 * b for a, b in zip(r1[0], r2[0])],
+                       w1 * r1[1] + w2 * r2[1], rel)
 
 
 def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | None:
@@ -193,7 +160,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         for v, k in r.terms:
             cs[col[v]] = k
         packed.append((tuple(cs), r.const, r.rel))
-    rows = _prune_rows(packed)
+    rows = _prune(packed)
     if rows is None:
         return None
     remaining = set(elim)
@@ -223,7 +190,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 # cross-multiply; the weight on r stays positive so an
                 # inequality keeps its direction
                 new_rows.append(_combine(abs(a), r, -b if a > 0 else b, eq, r[2]))
-        rows = _prune_rows(new_rows)
+        rows = _prune(new_rows)
         if rows is None:
             return None
         remaining.discard(v)
@@ -266,7 +233,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 rest.append(_combine(-n[0][j], p, p[0][j], n, rel))
                 if len(rest) > _ROW_CAP:
                     raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
-        rows = _prune_rows(rest)
+        rows = _prune(rest)
         if rows is None:
             return None
     return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
@@ -285,7 +252,7 @@ class Polyhedron:
             self.constraints = (FALSE_CONSTRAINT,)
             self._sat = False
         else:
-            bad = set().union(*(r.vars() for r in rows)) - set(self.dims) if rows else set()
+            bad = {v for r in rows for v, _ in r.terms}.difference(self.dims)
             if bad:
                 raise DimensionMismatch(f"constraint variables {sorted(bad)} not in dims")
             self.constraints = tuple(sorted(rows, key=_order_key))

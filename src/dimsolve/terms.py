@@ -1,16 +1,21 @@
 """Linear terms and atomic constraints over named integer variables.
 
-All constraints are kept in the normal form ``sum(coeff_i * var_i) + const REL 0``
-with integer coefficients reduced by their common gcd.  The core is
-integer-only: combinations and substitutions take integer weights, so every
-intermediate coefficient is an integer, and ``Constraint.make`` accepts
-integers only (a ``Fraction`` raises ``TypeError``).
+A constraint is the row ``sum(coeff_i * var_i) + const REL 0``, held as the
+tuple ``(terms, const, rel)`` in ``normal_form``: all numbers reduced by
+their common gcd, and an equality's first nonzero number positive.
+Fourier-Motzkin (``polyhedra._eliminate``) packs its rows as the same triple
+with a dense coefficient tuple in place of ``terms``, and keeps them in the
+same ``normal_form``.  The core is integer-only: combinations and
+substitutions take integer weights, so every intermediate coefficient is an
+integer, and ``Constraint.make`` accepts integers only (a ``Fraction``
+raises ``TypeError``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 # Relations of a normalized atomic constraint.  EQ and LE are the only forms
 # produced by program normalization; LT arises transiently when constraints
@@ -30,23 +35,31 @@ class Var:
         return self.name
 
 
-def _reduce(coeffs: dict[str, int], const: int):
-    """Drop zero coefficients and divide by the gcd of all numbers involved."""
-    ints = {v: c for v, c in coeffs.items() if c != 0}
-    g = gcd(const, *ints.values())
+def normal_form(cs, const: int, rel: str):
+    """``(tuple(cs), const, rel)`` in normal form, for the integer
+    coefficients ``cs`` of a row listed in name order: every number divided
+    by the gcd of all of them, and for ``=`` the first nonzero number
+    positive (the constant, when every coefficient is zero)."""
+    g = gcd(const, *cs)
     if g > 1:
-        ints = {v: c // g for v, c in ints.items()}
+        cs = [c // g for c in cs]
         const //= g
-    return ints, const
+    if rel == EQ:
+        for lead in cs:
+            if lead:
+                break
+        else:
+            lead = const
+        if lead < 0:
+            cs = [-c for c in cs]
+            const = -const
+    return tuple(cs), const, rel
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """``terms + const REL 0`` with gcd-reduced integer coefficients.
-
-    ``terms`` is sorted by variable name so structurally equal constraints
-    compare and hash equal.
-    """
+class Constraint(NamedTuple):
+    """``terms + const REL 0`` in ``normal_form``, with ``terms`` the
+    ``(name, coefficient)`` pairs of the nonzero coefficients, sorted by
+    name, so that equal constraints are equal tuples."""
 
     terms: tuple[tuple[str, int], ...]
     const: int
@@ -54,34 +67,12 @@ class Constraint:
 
     @staticmethod
     def make(coeffs: dict, const, rel: str) -> "Constraint":
-        ints, ic = _reduce(coeffs, const)
-        if rel == EQ and ints:
-            lead = min(ints)
-            if ints[lead] < 0:
-                ints = {v: -c for v, c in ints.items()}
-                ic = -ic
-        return Constraint(tuple(sorted(ints.items())), ic, rel)
-
-    def coeffs(self) -> dict[str, int]:
-        return dict(self.terms)
+        names = sorted(v for v, c in coeffs.items() if c)
+        cs, const, rel = normal_form([coeffs[v] for v in names], const, rel)
+        return Constraint(tuple(zip(names, cs)), const, rel)
 
     def vars(self) -> set[str]:
         return {v for v, _ in self.terms}
-
-    def is_trivial(self) -> bool:
-        """Variable-free and satisfied (for example ``0 =< 1``)."""
-        if self.terms:
-            return False
-        if self.rel == EQ:
-            return self.const == 0
-        if self.rel == LE:
-            return self.const <= 0
-        return self.const < 0
-
-    def is_contradiction(self) -> bool:
-        if self.terms:
-            return False
-        return not self.is_trivial()
 
     def negations(self) -> list["Constraint"]:
         """Constraints whose disjunction is the complement of this one."""

@@ -1,5 +1,6 @@
 import pytest
 
+from dimsolve import linear_solver
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import (AbstractState, NonLinearProgram,
                                     solve_linear, stabilized, step)
@@ -84,17 +85,16 @@ def test_soundness_gate_on_solved_models(fib, fib_bench):
 
 
 def test_round_cap_within_budget(fib):
-    """Stabilization within widen_delay + constraint-count + 8 rounds."""
+    """Stabilization within _WIDEN_DELAY + constraint-count + 8 rounds."""
     for program in (kdim(fib, 0), kdim(fib, 1),
                     parse("p(X) :- X=0.\np(Y) :- Y=X+1, p(X).")):
         if not all(len(c.body) <= 1 for c in program.clauses):
             continue
-        widen_delay = 1
-        cap = widen_delay + sum(len(c.constraint) for c in program.clauses) + 8
+        cap = linear_solver._WIDEN_DELAY + sum(len(c.constraint) for c in program.clauses) + 8
         state = AbstractState()
         rounds = 0
         while True:
-            nxt = step(program, state, widen_delay)
+            nxt = step(program, state)
             rounds += 1
             assert rounds <= cap, "fixpoint exceeded the round budget"
             if stabilized(state, nxt):
@@ -102,12 +102,13 @@ def test_round_cap_within_budget(fib):
             state = nxt
 
 
-def test_monotone_rounds_pre_widening(fib):
+def test_monotone_rounds_pre_widening(fib, monkeypatch):
     """Before widening kicks in, per-predicate values only grow."""
+    monkeypatch.setattr(linear_solver, "_WIDEN_DELAY", 10 ** 6)
     program = kdim(fib, 1)
     state = AbstractState()
     for _ in range(3):
-        nxt = step(program, state, widen_delay=10 ** 6)
+        nxt = step(program, state)
         for pred, old in state.interp.items():
             assert old.entails(nxt.interp[pred])
         state = nxt

@@ -210,6 +210,16 @@ def test_simplify_equivalence_random():
             assert p.entails(s) and s.entails(p)
 
 
+def test_prune_trivial_and_contradiction():
+    a = C({"A": 1}, -1)  # A =< 1
+    trivial = [C({}, -1), C({}, 0, EQ), C({}, -1, LT)]
+    p = poly(("A",), a, *trivial, C({"A": 1}, -2))  # A =< 2 is dominated
+    assert p.constraints == (a,) and p._sat is None
+    for contradiction in (C({}, 1, EQ), C({}, 1), C({}, 0, LT)):
+        q = poly(("A",), a, contradiction, *trivial)
+        assert q == Polyhedron.bottom(("A",)) and q._sat is False
+
+
 # --- grid agreement (one direction: integer point found => sat) ---------
 
 def test_sat_grid_agreement_random():
@@ -222,9 +232,27 @@ def test_sat_grid_agreement_random():
 
 # --- the integer-row kernel against the Constraint-level elimination ----
 
+def _reference_prune(rows):
+    """``polyhedra._prune`` as it was on ``Constraint`` rows, kept apart so
+    that the comparison does not share the rule it checks."""
+    eqs, ineqs = {}, {}
+    for r in rows:
+        if not r.terms:
+            if not {EQ: r.const == 0, LE: r.const <= 0, LT: r.const < 0}[r.rel]:
+                return None
+            continue
+        if r.rel == EQ:
+            eqs.setdefault((r.terms, r.const), r)
+            continue
+        old = ineqs.get(r.terms)
+        if old is None or (r.const, r.rel == LT) > (old.const, old.rel == LT):
+            ineqs[r.terms] = r
+    return list(eqs.values()) + list(ineqs.values())
+
+
 def _reference_eliminate(rows, elim):
     """``_eliminate`` as it was on ``Constraint`` rows, without the deadline."""
-    rows = polyhedra._prune(rows)
+    rows = _reference_prune(rows)
     if rows is None:
         return None
     remaining = set(elim)
@@ -246,7 +274,7 @@ def _reference_eliminate(rows, elim):
                     continue
                 new_rows.append(r if b == 0 else linear_combination(
                     [(abs(a), r), (-b if a > 0 else b, eq)], r.rel))
-            rows = polyhedra._prune(new_rows)
+            rows = _reference_prune(new_rows)
             if rows is None:
                 return None
             remaining.discard(v)
@@ -267,7 +295,7 @@ def _reference_eliminate(rows, elim):
                 rest.append(linear_combination([(-cn, p), (cp, n)], rel))
                 if len(rest) > polyhedra._ROW_CAP:
                     raise polyhedra.RowCapExceeded
-        rows = polyhedra._prune(rest)
+        rows = _reference_prune(rest)
         if rows is None:
             return None
         remaining.discard(v)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,13 +44,6 @@ def test_zero_coefficients_dropped():
     assert c.vars() == {"B"}
 
 
-def test_trivial_and_contradiction():
-    assert Constraint.make({}, -1, LE).is_trivial()
-    assert Constraint.make({}, 1, LE).is_contradiction()
-    assert Constraint.make({}, 0, LT).is_contradiction()
-    assert Constraint.make({}, 0, EQ).is_trivial()
-
-
 def test_negations_le():
     (n,) = Constraint.make({"A": 1}, -2, LE).negations()  # A =< 2
     assert n == Constraint.make({"A": -1}, 2, LT)         # A > 2
@@ -80,8 +74,23 @@ coeff = st.integers(min_value=-9, max_value=9)
        st.sampled_from([EQ, LE, LT]))
 def test_make_is_idempotent(coeffs, const, rel):
     c = Constraint.make(coeffs, const, rel)
-    again = Constraint.make(c.coeffs(), c.const, c.rel)
+    again = Constraint.make(dict(c.terms), c.const, c.rel)
     assert c == again
+
+
+@given(st.dictionaries(st.sampled_from("ABCD"), coeff, max_size=4), coeff,
+       st.sampled_from([EQ, LE, LT]), st.integers(min_value=-6, max_value=6))
+def test_normal_form(coeffs, const, rel, k):
+    c = Constraint.make(coeffs, const, rel)
+    names = [v for v, _ in c.terms]
+    assert names == sorted(set(names))
+    assert all(x != 0 for _, x in c.terms)
+    numbers = [x for _, x in c.terms] + [c.const]
+    assert gcd(*numbers) == (1 if any(numbers) else 0)
+    if rel == EQ:
+        assert numbers[0] >= 0  # the first nonzero number, as coefficients are nonzero
+    if k >= 1 or k != 0 and rel == EQ:
+        assert Constraint.make({v: k * x for v, x in coeffs.items()}, k * const, rel) == c
 
 
 @given(st.dictionaries(st.sampled_from("ABC"), coeff, min_size=1, max_size=3), coeff)
