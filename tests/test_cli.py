@@ -81,15 +81,22 @@ def test_usage_error_exit_one(capsys):
     assert code == 1
 
 
+UNKNOWN_WIDEN_DELAY = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\n"
+                       "dimsolve: error: unrecognized arguments: --widen-delay=1\n")
+
+
 @pytest.mark.parametrize("args, message", [
     (["--max-k", "-3"], "dimsolve: --max-k must be nonnegative\n"),
     (["--dump-trees", "3", "--max-nodes", "0"], "dimsolve: --max-nodes must be at least 1\n"),
+    # the widening delay is the constant linear_solver._WIDEN_DELAY, not an option
+    (["--widen-delay=1"], UNKNOWN_WIDEN_DELAY),
+    (["solve-linear", "--widen-delay=1"], UNKNOWN_WIDEN_DELAY),
     (["--dump-trees", "-2"], "dimsolve: --dump-trees must be nonnegative\n"),
     (["--timeout-s", "-1"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--dump-trees", "2", "--root", "nosuch"], "dimsolve: no clause has head nosuch\n"),
-], ids=["max-k", "max-nodes", "dump-trees", "timeout-s-negative", "timeout-s-nan",
-        "dump-trees-root"])
+], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
+        "timeout-s-negative", "timeout-s-nan", "dump-trees-root"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"
@@ -99,17 +106,6 @@ def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     assert code == 1
     assert out == ""
     assert err == message
-
-
-def test_widen_delay_unknown_option(tmp_path, capsys):
-    # the widening delay is the constant linear_solver._WIDEN_DELAY
-    f = tmp_path / "zero.pl"
-    f.write_text("p(X) :- X = 0.\n")
-    for command in (["solve"], ["solve-linear"]):
-        code, out, err = run_cli([*command, "--widen-delay=1", str(f)], capsys)
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments: --widen-delay=1" in err
 
 
 def test_indexed_input_exit_one(tmp_path, capsys):
