@@ -12,12 +12,31 @@ its input rows once as ``(coefficients, const, rel)`` triples: one integer
 coefficient per name, over the sorted names of the input rows.  It combines
 them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
-dominated rows of either form, both for ``Polyhedron`` and after every
-elimination step.  The elimination order is fixed by the names: equalities
+dominated rows of either form, for ``Polyhedron`` and for the result of
+``_eliminate``.  The elimination order is fixed by the names: equalities
 first, substituting away the smallest-named variable that an equality
 mentions, through the first such equality in row order; then
 Fourier-Motzkin on the variable with the fewest pos*neg pairings, ties
 going to the smallest name.
+
+Fourier-Motzkin output is filtered by Chernikov's rule (Imbert, "Fourier's
+elimination: which to choose?", 1993).  Inside ``_eliminate`` each packed
+row carries a fourth field, its mask: an ``int`` with one bit for each input
+row it combines, the input rows numbered after the first prune.  The steps
+counted are each equality substitution and each Fourier-Motzkin step on a
+variable that some row mentions.  A substitution ORs the equality's mask
+into every row it rewrites, and a combination takes the union of the two
+masks.  After ``steps`` steps a row that combines more than ``steps + 1``
+input rows is implied by the rows that combine fewer, so such a pair is
+never generated.  Counting too many steps only raises the bound, so some
+redundant rows stay; counting too few lowers it below what the rule allows,
+drops rows the result needs, and the elimination is no longer exact.
+Between steps, ``_prune_masked`` lets a row drop another with the same
+left-hand side (or an equal equality) only if it is at least as strong and
+its mask is a subset of the other's; otherwise both stay.  Keeping just the
+stronger row and its own mask is unsound: the rule then drops combinations
+of that row that the weaker row's mask would have let through, and ``sat``
+can answer true for an infeasible system.
 
 ``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
 dimensions and constraints of their operands (a ``Polyhedron`` is
@@ -110,6 +129,11 @@ def _check_deadline() -> None:
         raise SolverTimeout
 
 
+def _is_false(const, rel) -> bool:
+    """Whether the constant row ``const REL 0`` is a contradiction."""
+    return rel == EQ and const != 0 or rel == LE and const > 0 or rel == LT and const >= 0
+
+
 def _prune(rows):
     """Drop trivial and dominated ``(lhs, const, rel)`` rows; None when a
     contradiction is found.  ``lhs`` is a ``Constraint``'s terms or a packed
@@ -119,7 +143,7 @@ def _prune(rows):
     for r in rows:
         lhs, const, rel = r
         if not any(lhs):
-            if rel == EQ and const != 0 or rel == LE and const > 0 or rel == LT and const >= 0:
+            if _is_false(const, rel):
                 return None
             continue
         if rel == EQ:
@@ -132,24 +156,68 @@ def _prune(rows):
     return list(eqs.values()) + list(ineqs.values())
 
 
+def _prune_masked(rows):
+    """``_prune`` for the masked ``(lhs, const, rel, mask)`` rows of
+    ``_eliminate``, under the subset rule: a row drops another with the same
+    left-hand side (for equalities, also the same constant) only if it is at
+    least as strong and its mask is a subset of the other's.  Rows with one
+    left-hand side that none of them may drop all stay."""
+    eqs = {}
+    ineqs = {}
+    for r in rows:
+        lhs, const, rel, mask = r
+        if not any(lhs):
+            if _is_false(const, rel):
+                return None
+            continue
+        # rows under one key of ``eqs`` are equal, so equally strong
+        table, key = (eqs, (lhs, const)) if rel == EQ else (ineqs, lhs)
+        kept = table.get(key)
+        if kept is None:
+            table[key] = [r]
+            continue
+        strength = (const, rel == LT)
+        if any(o[3] & ~mask == 0 and (o[1], o[2] == LT) >= strength for o in kept):
+            continue
+        kept[:] = [o for o in kept if mask & ~o[3] or (o[1], o[2] == LT) > strength]
+        kept.append(r)
+    return [r for kept in eqs.values() for r in kept] + \
+        [r for kept in ineqs.values() for r in kept]
+
+
 def _combine(w1, r1, w2, r2, rel):
-    """``w1*r1 + w2*r2`` as a packed row in ``normal_form``."""
-    return normal_form([w1 * a + w2 * b for a, b in zip(r1[0], r2[0])],
-                       w1 * r1[1] + w2 * r2[1], rel)
+    """``w1*r1 + w2*r2`` as a masked row in ``normal_form``, with the union
+    of the two masks."""
+    cs, const, rel = normal_form([w1 * a + w2 * b for a, b in zip(r1[0], r2[0])],
+                                 w1 * r1[1] + w2 * r2[1], rel)
+    return cs, const, rel, r1[3] | r2[3]
 
 
 def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | None:
-    """Eliminate the variables ``elim``; None when the system is infeasible.
+    """Eliminate the variables ``elim``; None when a contradiction turns up.
 
-    The rows are packed once as ``(coefficients, const, rel)`` triples, with
-    one integer coefficient per name in the sorted names of the input rows.
-    They are combined with integer arithmetic, and only the result is
-    unpacked into ``Constraint``s.  Each step eliminates one variable:
-    while an equality mentions a variable of ``elim``, the smallest such
-    name is substituted away through its first equality in row order; then
-    Fourier-Motzkin eliminates the variable with the fewest pos*neg
-    pairings, ties going to the smallest name.  The deadline is checked on
-    entry and once per step.
+    When ``elim`` covers every variable of the rows, None means exactly that
+    the system is infeasible.  Otherwise an infeasible system may also come
+    back as rows: ``[A>=1, A=< -20]`` with nothing to eliminate returns both.
+
+    The rows are packed once as ``(coefficients, const, rel, mask)``, with
+    one integer coefficient per name in the sorted names of the input rows,
+    and bit ``i`` of the mask set in the ``i``-th row left by the first
+    prune.  They are combined with integer arithmetic, and only the result
+    is unmasked, pruned by ``_prune`` and unpacked into ``Constraint``s.
+    Each step eliminates one variable: while an equality mentions a
+    variable of ``elim``, the smallest such name is substituted away through
+    its first equality in row order, and the equality's mask joins the mask
+    of every row it rewrites; then Fourier-Motzkin eliminates the variable
+    with the fewest pos*neg pairings, ties going to the smallest name.  A
+    step counts when it substitutes an equality or when some row mentions
+    its variable.  After ``steps`` steps, Chernikov's rule skips every pair
+    whose masks together have more than ``steps + 1`` bits.  An over-count
+    of the steps only raises that bound and keeps redundant rows; an
+    under-count lowers it and drops rows the result needs.  Between steps,
+    ``_prune_masked`` lets a row drop another only if it is at least as
+    strong and its mask is a subset of the other's.  The deadline is checked
+    on entry and once per step.
     """
     _check_deadline()
     names = sorted({v for r in rows for v, _ in r.terms})
@@ -163,6 +231,8 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     rows = _prune(packed)
     if rows is None:
         return None
+    rows = [(cs, const, rel, 1 << i) for i, (cs, const, rel) in enumerate(rows)]
+    steps = 0
     remaining = set(elim)
     # Fourier-Motzkin only makes inequalities, so once no equality mentions
     # a remaining variable, none does again
@@ -178,6 +248,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         if eq is None:
             break
         _check_deadline()
+        steps += 1
         a = eq[0][j]
         new_rows = []
         for r in rows:
@@ -190,7 +261,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 # cross-multiply; the weight on r stays positive so an
                 # inequality keeps its direction
                 new_rows.append(_combine(abs(a), r, -b if a > 0 else b, eq, r[2]))
-        rows = _prune(new_rows)
+        rows = _prune_masked(new_rows)
         if rows is None:
             return None
         remaining.discard(v)
@@ -224,18 +295,25 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 neg.append(r)
             else:
                 rest.append(r)
+        if not (pos or neg):
+            continue
+        steps += 1
         if not (pos and neg):
             rows = rest  # a subsequence of pruned rows is pruned
             continue
         for p in pos:
             for n in neg:
+                if (p[3] | n[3]).bit_count() > steps + 1:
+                    continue  # Chernikov: a redundant combination
                 rel = LT if LT in (p[2], n[2]) else LE
                 rest.append(_combine(-n[0][j], p, p[0][j], n, rel))
                 if len(rest) > _ROW_CAP:
                     raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
-        rows = _prune(rest)
+        rows = _prune_masked(rest)
         if rows is None:
             return None
+    # no constant row is left, so this cannot find a contradiction
+    rows = _prune([r[:3] for r in rows])
     return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
             for cs, const, rel in rows]
 

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -13,6 +15,9 @@ from dimsolve.models import inductive, linearize, satisfies_clause
 from dimsolve.parser import parse
 
 from conftest import random_program
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import VARIANTS, WORKLOADS, program_texts  # noqa: E402
 
 
 def test_fib_bench_solved_with_inductive_model(fib_bench):
@@ -126,6 +131,16 @@ def test_tree3_deep_ends_max_k(tree3):
     checks = [line for line in lines if "inductive" in line]
     assert len(checks) == 5
     assert checks[2].startswith("k=2: model not inductive violated=[3] check=")
+
+
+def test_fib_eq_renamings_end_not_solved():
+    # without redundancy filtering in Fourier-Motzkin, five of these eight
+    # renamings ended UNKNOWN fm-row-cap at k=3
+    w = WORKLOADS["fib-eq"]
+    for variant in range(VARIANTS):
+        for _, text in program_texts(w, 1, variant):
+            out = solve(parse(text), Config(max_k=w.max_k))
+            assert (out.status, out.reason) == ("unknown", UNKNOWN_NOT_SOLVED), variant
 
 
 def test_level_program_solves_like_the_full_program(fib, tree3):
