@@ -4,23 +4,22 @@
 expose the building blocks:
 
   dimsolve kdim --k N <file>          print the dimension-bounded program
-  dimsolve solve-linear <file>        run the linear fixpoint engine once
+  dimsolve solve-linear <file>        the convex fixpoint engine, on any program
   dimsolve dim <tree-file>            dimension of a dumped derivation tree
 
 Exit codes: 0 solved (or subcommand success), 2 unknown / not solved,
-1 input or usage errors.  Setting DIMSOLVE_TRACE=1 is equivalent to --trace.
+1 input or usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
 from .driver import Config, SolveOutcome, solve
 from .kdim import IndexedInput, kdim
-from .linear_solver import NonLinearProgram, solve_linear
+from .linear_solver import solve_linear
 from .parser import ParseError, parse
 from .polyhedra import ResourceExhausted
 from .syntax import ATMOST, EXACT, ArityError, PredRef, render_program
@@ -56,7 +55,7 @@ def _build_parser() -> _Parser:
     k.add_argument("--k", type=int, required=True)
     k.add_argument("file")
 
-    sl = sub.add_parser("solve-linear", help="run the linear solver once")
+    sl = sub.add_parser("solve-linear", help="run the convex fixpoint engine once")
     sl.add_argument("file")
 
     d = sub.add_parser("dim", help="dimension of a dumped derivation tree")
@@ -125,8 +124,6 @@ def _run(args) -> int:
         program = _parse_program(args.file)
         try:
             verdict = solve_linear(program)
-        except NonLinearProgram as e:
-            return _fail(e)
         except ResourceExhausted as e:
             print(f"UNKNOWN {e.reason}")
             return 2
@@ -169,7 +166,7 @@ def _run(args) -> int:
         return 0
     cfg = Config(max_k=args.max_k, timeout_s=args.timeout_s)
     trace = None
-    if args.trace or os.environ.get("DIMSOLVE_TRACE") == "1":
+    if args.trace:
         trace = lambda msg: print(msg, file=sys.stderr)
     try:
         outcome: SolveOutcome = solve(program, cfg, trace=trace)

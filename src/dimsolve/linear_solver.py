@@ -1,14 +1,15 @@
-"""Fixpoint engine for linear Horn clause programs.
+"""Convex fixpoint engine for Horn clause programs.
 
 Computes one convex polyhedron per predicate as an over-approximation of the
 least model, by synchronous Kleene rounds that widen a predicate once it
-has grown more than ``_WIDEN_DELAY`` (one) times.  The approximation counts
-as a solution when every ``false`` variant stays empty; if a false variant
-becomes feasible the engine always tries a bounded descending (narrowing)
-phase to recover precision, and reports NotSolved if that fails.  Narrowing
-is deliberately *not* run when the false variants are already empty: the
-extrapolated interpretations are what later iterations of the outer
-algorithm need.
+has grown more than ``_WIDEN_DELAY`` (one) times.  The program need not be
+linear: ``head_image`` conjoins the polyhedra of any number of body atoms.
+The approximation counts as a solution when every ``false`` variant stays
+empty; if a false variant becomes feasible the engine always tries a
+bounded descending (narrowing) phase to recover precision, and reports
+NotSolved if that fails.  Narrowing is deliberately *not* run when the
+false variants are already empty: the extrapolated interpretations are
+what later iterations of the outer algorithm need.
 
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
-from .syntax import FALSE_NAME, PredRef, Program, canonical_params, is_linear
+from .syntax import FALSE_NAME, PredRef, Program, canonical_params
 
 _WIDEN_DELAY = 1  # growth steps a predicate takes before it is widened
 
@@ -42,10 +43,6 @@ class LinearVerdict:
     @property
     def solved(self) -> bool:
         return self.model is not None
-
-
-class NonLinearProgram(ValueError):
-    pass
 
 
 class NoFixpoint(ResourceExhausted):
@@ -110,8 +107,6 @@ def _to_model(s: AbstractState) -> Model:
 
 
 def solve_linear(p: Program, trace=None) -> LinearVerdict:
-    if not is_linear(p):
-        raise NonLinearProgram("solve_linear requires a linear program")
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
     max_rounds = 10 * (_WIDEN_DELAY + total_constraints + 8) + 10 * npreds

@@ -12,8 +12,8 @@ its input rows once as ``(coefficients, const, rel)`` triples: one integer
 coefficient per name, over the sorted names of the input rows.  It combines
 them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
-dominated rows of either form, for ``Polyhedron`` and for the result of
-``_eliminate``.  The elimination order is fixed by the names: equalities
+dominated rows of either form, for ``Polyhedron`` and for the input rows
+of ``_eliminate``.  The elimination order is fixed by the names: equalities
 first, substituting away the smallest-named variable that an equality
 mentions, through the first such equality in row order; then
 Fourier-Motzkin on the variable with the fewest pos*neg pairings, ties
@@ -31,10 +31,13 @@ input rows is implied by the rows that combine fewer, so such a pair is
 never generated.  Counting too many steps only raises the bound, so some
 redundant rows stay; counting too few lowers it below what the rule allows,
 drops rows the result needs, and the elimination is no longer exact.
-Between steps, ``_prune_masked`` lets a row drop another with the same
-left-hand side (or an equal equality) only if it is at least as strong and
-its mask is a subset of the other's; otherwise both stay.  Keeping just the
-stronger row and its own mask is unsound: the rule then drops combinations
+Between steps, ``_prune_masked`` keeps one row per left-hand side (per
+equal equality), the strongest, with the AND of the masks of every row
+merged into it.  That is exact: the kept row implies each merged row, and
+its mask is a subset of each of their masks, so the bound lets through
+every combination that any of them would have made, and each such
+combination implies the one the dropped row would have made.  Keeping the
+stronger row with its own mask is unsound: the rule then drops combinations
 of that row that the weaker row's mask would have let through, and ``sat``
 can answer true for an infeasible system.
 
@@ -158,10 +161,9 @@ def _prune(rows):
 
 def _prune_masked(rows):
     """``_prune`` for the masked ``(lhs, const, rel, mask)`` rows of
-    ``_eliminate``, under the subset rule: a row drops another with the same
-    left-hand side (for equalities, also the same constant) only if it is at
-    least as strong and its mask is a subset of the other's.  Rows with one
-    left-hand side that none of them may drop all stay."""
+    ``_eliminate``: each left-hand side (for equalities, with its constant)
+    keeps its strongest row, with the AND of the masks of every row merged
+    into it."""
     eqs = {}
     ineqs = {}
     for r in rows:
@@ -172,17 +174,13 @@ def _prune_masked(rows):
             continue
         # rows under one key of ``eqs`` are equal, so equally strong
         table, key = (eqs, (lhs, const)) if rel == EQ else (ineqs, lhs)
-        kept = table.get(key)
-        if kept is None:
-            table[key] = [r]
-            continue
-        strength = (const, rel == LT)
-        if any(o[3] & ~mask == 0 and (o[1], o[2] == LT) >= strength for o in kept):
-            continue
-        kept[:] = [o for o in kept if mask & ~o[3] or (o[1], o[2] == LT) > strength]
-        kept.append(r)
-    return [r for kept in eqs.values() for r in kept] + \
-        [r for kept in ineqs.values() for r in kept]
+        old = table.get(key)
+        if old is not None:
+            if (old[1], old[2] == LT) >= (const, rel == LT):
+                lhs, const, rel = old[:3]
+            mask &= old[3]
+        table[key] = lhs, const, rel, mask
+    return list(eqs.values()) + list(ineqs.values())
 
 
 def _combine(w1, r1, w2, r2, rel):
@@ -204,7 +202,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     one integer coefficient per name in the sorted names of the input rows,
     and bit ``i`` of the mask set in the ``i``-th row left by the first
     prune.  They are combined with integer arithmetic, and only the result
-    is unmasked, pruned by ``_prune`` and unpacked into ``Constraint``s.
+    is unpacked into ``Constraint``s.
     Each step eliminates one variable: while an equality mentions a
     variable of ``elim``, the smallest such name is substituted away through
     its first equality in row order, and the equality's mask joins the mask
@@ -215,8 +213,10 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     whose masks together have more than ``steps + 1`` bits.  An over-count
     of the steps only raises that bound and keeps redundant rows; an
     under-count lowers it and drops rows the result needs.  Between steps,
-    ``_prune_masked`` lets a row drop another only if it is at least as
-    strong and its mask is a subset of the other's.  The deadline is checked
+    ``_prune_masked`` merges the rows of one left-hand side into the
+    strongest, with the AND of their masks: it implies each of them, and
+    its mask lets through every combination that theirs would have.  Every
+    path leaves at most one row per left-hand side.  The deadline is checked
     on entry and once per step.
     """
     _check_deadline()
@@ -312,10 +312,8 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         rows = _prune_masked(rest)
         if rows is None:
             return None
-    # no constant row is left, so this cannot find a contradiction
-    rows = _prune([r[:3] for r in rows])
     return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
-            for cs, const, rel in rows]
+            for cs, const, rel, _ in rows]
 
 
 class Polyhedron:

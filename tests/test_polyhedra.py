@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dimsolve import polyhedra
 from dimsolve.parser import _Parser
@@ -359,8 +360,8 @@ def test_kernel_matches_reference_elimination(monkeypatch):
                      _outcome(_reference_eliminate, rows, elim)) for rows, elim in systems]
     capped = 0
     for (rows, elim), (out, ref) in zip(systems, outcomes):
-        # the kernel may cap where the reference does not: rows with one
-        # left-hand side and incomparable masks all stay
+        # either side may cap where the other does not: each picks the
+        # elimination order from the rows it keeps
         if "row cap" not in (out, ref):
             assert _same_set(out, ref), (rows, elim)
         capped += out == "row cap"
@@ -395,6 +396,38 @@ def test_masked_prune_keeps_rows_chernikov_needs(text):
     rows = _rows(text)
     assert _reference_empty(rows)
     assert polyhedra._eliminate(rows, {"A", "B", "C", "D", "E"}) is None
+
+
+# masked rows over a few shared left-hand sides, the constant one included,
+# so that keys repeat and masks overlap, nest and differ
+_MASKED_ROWS = st.lists(st.tuples(
+    st.sampled_from([(0, 0), (1, 0), (1, -1), (2, 3)]),
+    st.integers(-2, 2), st.sampled_from([EQ, LE, LT]), st.integers(1, 15)),
+    max_size=10)
+
+
+@given(_MASKED_ROWS)
+def test_masked_prune_merges_each_key_into_its_strongest_row(rows):
+    out = polyhedra._prune_masked(rows)
+    false = any(not any(lhs) and not {EQ: k == 0, LE: k <= 0, LT: k < 0}[rel]
+                for lhs, k, rel, _ in rows)
+    assert (out is None) == false
+    if false:
+        return
+
+    def key(row):
+        return (row[0], row[1]) if row[2] == EQ else row[0]
+    kept = {key(r): r for r in out}
+    assert len(kept) == len(out)  # at most one row per key
+    for r in rows:
+        if not any(r[0]):
+            continue
+        lhs, k, rel, mask = r
+        o = kept[key(r)]
+        # ``lhs + o[1] o[2] 0`` implies ``lhs + k rel 0``, and the kept row's
+        # mask lets through every combination that ``r``'s would
+        assert o[1] > k or o[1] == k and (o[2] == rel or o[2] == LT)
+        assert o[3] & ~mask == 0
 
 
 def test_hull_of_a_pair_that_passed_the_row_cap():
