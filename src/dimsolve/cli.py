@@ -128,7 +128,7 @@ def _run(args) -> int:
             print(f"UNKNOWN {e.reason}")
             return 2
         if not verdict.solved:
-            print("NOT SOLVED")
+            print(f"NOT SOLVED {verdict.reason}")
             return 2
         sys.stdout.write(verdict.model.render())
         return 0

@@ -11,6 +11,12 @@ NotSolved if that fails.  Narrowing is deliberately *not* run when the
 false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
+A round skips the hull of a contribution that the predicate's polyhedron
+already holds, when that polyhedron has no strict row: the hull is closed,
+so it would be the same polyhedron, and the ``entails`` test on the hull
+would find it covered.  Where the test does not apply, the hull is computed
+and that ``entails`` test decides.
+
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
 inside ``polyhedra.memo()``, reusing the caller's table and deadline when
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params
+from .terms import LT
 
 _WIDEN_DELAY = 1  # growth steps a predicate takes before it is widened
 
@@ -75,6 +82,9 @@ def step(p: Program, s: AbstractState) -> AbstractState:
         if old is None:
             out.interp[pred] = poly
             out.changes[pred] = 1
+            continue
+        # the hull is closed, so it equals a closed ``old`` that holds ``poly``
+        if all(r.rel != LT for r in old.constraints) and poly.entails(old):
             continue
         grown = old.hull(poly)
         if grown.entails(old):

@@ -142,6 +142,9 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
         for r in regions:
             prefix: list[Constraint] = []
             for c in head.constraints:
+                if r.row_entails(c):
+                    prefix.append(c)  # every piece of ``c`` would be empty
+                    continue
                 for neg in c.negations():
                     piece = r.conjoin(prefix + [neg])
                     created += 1

@@ -41,6 +41,21 @@ stronger row with its own mask is unsound: the rule then drops combinations
 of that row that the weaker row's mask would have let through, and ``sat``
 can answer true for an infeasible system.
 
+Some questions are settled by the rows alone, and then no elimination
+runs.  Each shortcut answers only where Fourier-Motzkin would give the same
+answer:
+
+- ``entails`` is true for a target with the same rows;
+- ``entails_constraint`` is true when ``row_entails``: the constraint is a
+  row, or it is an inequality and a non-equality row with the same terms
+  has a bound at least as strong, in ``_prune``'s order.  A row implies
+  what it dominates.  ``models._covered`` uses the same test to split off
+  no pieces for a head row that the region implies;
+- ``_simplify`` keeps a row unchecked when it mentions a variable that no
+  other kept row mentions.  The polyhedron is nonempty, and moving along
+  that variable from any point breaks the row and no other, so the others
+  cannot imply it.
+
 ``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
 dimensions and constraints of their operands (a ``Polyhedron`` is
 immutable), so inside a ``memo()`` block each distinct call is computed once
@@ -356,13 +371,24 @@ class Polyhedron:
             raise DimensionMismatch("renaming collapses dimensions")
         return Polyhedron(dims, (c.rename(mapping) for c in self.constraints))
 
+    def row_entails(self, c: Constraint) -> bool:
+        """Whether a single row implies ``c``: ``c`` itself, or for an
+        inequality ``c`` a non-equality row with the same terms and a bound
+        at least as strong, in ``_prune``'s order."""
+        if c.rel == EQ:
+            return c in self.constraints
+        bound = (c.const, c.rel == LT)
+        return any(r.terms == c.terms and r.rel != EQ and (r.const, r.rel == LT) >= bound
+                   for r in self.constraints)
+
     def entails_constraint(self, c: Constraint) -> bool:
-        return all(self.conjoin([n]).is_empty() for n in c.negations())
+        return self.row_entails(c) or all(
+            self.conjoin([n]).is_empty() for n in c.negations())
 
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        if self.is_empty():
+        if self.constraints == other.constraints or self.is_empty():
             return True
         return all(self.entails_constraint(c) for c in other.constraints)
 
@@ -441,7 +467,9 @@ class Polyhedron:
         kept = _recombine(self.constraints)
         for c in sorted(kept, key=_order_key, reverse=True):
             rest = [k for k in kept if k != c]
-            if Polyhedron(self.dims, rest).entails_constraint(c):
+            # a row alone on one of its variables is never implied
+            if c.vars() <= {v for k in rest for v, _ in k.terms} and \
+                    Polyhedron(self.dims, rest).entails_constraint(c):
                 kept = rest
         return Polyhedron(self.dims, kept)
 

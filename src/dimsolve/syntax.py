@@ -185,55 +185,6 @@ def render_program(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# structural comparison up to variable renaming
-
-def alpha_equal(c1: Clause, c2: Clause) -> bool:
-    """Heads, bodies and constraint multisets equal under a variable bijection."""
-    if c1.head.pred != c2.head.pred or len(c1.body) != len(c2.body):
-        return False
-    for a, b in zip(c1.body, c2.body):
-        if a.pred != b.pred or len(a.args) != len(b.args):
-            return False
-    mapping: dict[str, str] = {}
-    for a, b in zip((c1.head, *c1.body), (c2.head, *c2.body)):
-        for v, w in zip(a.args, b.args):
-            if mapping.setdefault(v.name, w.name) != w.name:
-                return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    cvars1 = {v for c in c1.constraint for v in c.vars()}
-    cvars2 = {v for c in c2.constraint for v in c.vars()}
-    free1 = sorted(cvars1 - set(mapping))
-    free2 = sorted(cvars2 - set(mapping.values()))
-    if len(free1) != len(free2):
-        return False
-    target = sorted(c2.constraint, key=repr)
-    for perm in itertools.permutations(free2):
-        m = dict(mapping, **dict(zip(free1, perm)))
-        if len(set(m.values())) != len(m):
-            continue
-        if sorted((c.rename(m) for c in c1.constraint), key=repr) == target:
-            return True
-    return False
-
-
-def multiset_alpha_equal(cs1, cs2) -> bool:
-    """Clause multisets equal up to per-clause variable renaming."""
-    cs1, cs2 = list(cs1), list(cs2)
-    if len(cs1) != len(cs2):
-        return False
-    remaining = list(cs2)
-    for c in cs1:
-        for other in remaining:
-            if alpha_equal(c, other):
-                remaining.remove(other)
-                break
-        else:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # index erasure
 
 def erase_indices_program(p: Program) -> Program:

@@ -12,14 +12,13 @@ from dimsolve.models import (ConstrainedFact, Model, inductive, linearize,
                              satisfies_clause, violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron
-from dimsolve.syntax import (ATMOST, PredRef, Var, alpha_equal, is_linear,
-                             multiset_alpha_equal)
+from dimsolve.syntax import ATMOST, PredRef, Var, is_linear
 from dimsolve.terms import EQ, Constraint
 from dimsolve.trees import (Node, contract_skeleton, dim, enumerate_contracted,
                             enumerate_trees, height)
 
-from conftest import (FIB_SRC, C, grid_points, poly, random_poly,
-                      random_program)
+from conftest import (FIB_SRC, C, alpha_equal, grid_points, multiset_alpha_equal,
+                      poly, random_poly, random_program)
 
 
 @contextmanager

@@ -143,7 +143,7 @@ def test_solve_linear_subcommand(tmp_path, capsys):
     f2.write_text("false :- X>0, p(X).\np(X) :- X=1.\n")
     code, out, _ = run_cli(["solve-linear", str(f2)], capsys)
     assert code == 2
-    assert "NOT SOLVED" in out
+    assert out == "NOT SOLVED false variant reachable in the abstraction\n"
 
 
 def test_solve_linear_on_nonlinear_program(tmp_path, capsys):

@@ -5,10 +5,9 @@ import pytest
 
 from dimsolve.kdim import clause_count, erase_indices, kdim
 from dimsolve.parser import parse
-from dimsolve.syntax import (Program, alpha_equal, is_linear,
-                             multiset_alpha_equal, render_clause, render_program)
+from dimsolve.syntax import Program, is_linear, render_clause, render_program
 
-from conftest import FIB_SRC, random_program
+from conftest import FIB_SRC, alpha_equal, multiset_alpha_equal, random_program
 
 FIG3_SRC = """\
 fib(0)(A,A) :- A>=0, A=<1.

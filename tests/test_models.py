@@ -67,16 +67,31 @@ def test_disjunction_covers_head():
     assert satisfies_clause(m, p.clauses[1])
 
 
+def interval(lo, hi):
+    return poly(("A",), C({"A": -1}, lo), C({"A": 1}, -hi))
+
+
 def test_split_budget_exhaustion_raises(monkeypatch):
+    # the image 0 =< A =< 9 meets both facts of r: the first leaves the piece
+    # A > 4, and the second splits that again.  Over the rationals
+    # 4 < A < 5 stays uncovered.
     p = parse("r(Y) :- Y = X, q(X).")
-    m = Model([
-        ConstrainedFact(PredRef("q"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9))),
-        ConstrainedFact(PredRef("r"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9))),
-    ])
-    assert satisfies_clause(m, p.clauses[0])
+    m = Model([ConstrainedFact(PredRef("q"), (Var("A"),), interval(0, 9))]
+              + [ConstrainedFact(PredRef("r"), (Var("A"),), r)
+                 for r in (interval(0, 4), interval(5, 9))])
+    assert not satisfies_clause(m, p.clauses[0])
     monkeypatch.setattr(models, "_SPLIT_BUDGET", 1)
     with pytest.raises(SplitBudgetExceeded):
         satisfies_clause(m, p.clauses[0])
+
+
+def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
+    # each row of the head fact is a row of the image, so no piece is made
+    p = parse("r(Y) :- Y = X, q(X).")
+    m = Model([ConstrainedFact(PredRef(name), (Var("A"),), interval(0, 9))
+               for name in ("q", "r")])
+    monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)
+    assert satisfies_clause(m, p.clauses[0])
 
 
 def box(a_lo, a_hi, b_lo, b_hi):

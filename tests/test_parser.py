@@ -3,11 +3,10 @@ import random
 import pytest
 
 from dimsolve.parser import ParseError, parse
-from dimsolve.syntax import (ArityError, FALSE, PredRef, is_linear,
-                             multiset_alpha_equal, render_program)
+from dimsolve.syntax import ArityError, FALSE, PredRef, is_linear, render_program
 from dimsolve.terms import EQ
 
-from conftest import FIB_SRC, random_program
+from conftest import FIB_SRC, multiset_alpha_equal, random_program
 
 
 def test_integrity_clause_shape():

@@ -58,6 +58,37 @@ def test_entails_own_conjunct():
     assert c.entails(poly(("A",), C({"A": -1}, 1, LT)))
 
 
+def _fm_entails(p, c) -> bool:
+    """``p.entails_constraint(c)`` by Fourier-Motzkin alone, without the
+    single-row test."""
+    return all(p.conjoin([n]).is_empty() for n in c.negations())
+
+
+def test_row_entails_agrees_with_fourier_motzkin():
+    rng = random.Random(61)
+    dims = ("x", "y")
+    implied = 0
+    for _ in range(300):
+        p = random_poly(rng, dims)
+        cands = [random_constraint(rng, dims)]
+        for r in p.constraints:
+            for d in (-1, 0, 1):  # the row's constant loosened, kept, tightened
+                cands.extend(C(dict(r.terms), r.const + d, rel) for rel in (EQ, LE, LT))
+        for c in cands:
+            if not c.terms:
+                continue  # only an empty ``p`` implies a false constant row
+            # the single rows that the test may use: same terms, and for an
+            # inequality no equality
+            single = [r for r in p.constraints
+                      if r.terms == c.terms and (c.rel == EQ or r.rel != EQ)]
+            by_row = any(_fm_entails(Polyhedron(dims, [r]), c) for r in single)
+            assert p.row_entails(c) == by_row
+            if by_row:
+                implied += 1
+                assert _fm_entails(p, c)
+    assert implied > 300
+
+
 def test_entails_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         poly(("A",), C({"A": 1}, 0)).entails(poly(("Z",), C({"Z": 1}, 0)))
@@ -204,13 +235,18 @@ def test_simplify_canonical_contradiction():
 
 def test_simplify_equivalence_random():
     rng = random.Random(43)
-    for _ in range(40):
-        p = random_poly(rng, ("x", "y"))
+    dims = ("x", "y", "z")
+    for _ in range(200):
+        p = random_poly(rng, dims, rng.randint(1, 6))
         s = p.simplify()
         if p.is_empty():
             assert s.is_empty()
-        else:
-            assert p.entails(s) and s.entails(p)
+            continue
+        assert all(_fm_entails(p, c) for c in s.constraints)
+        assert all(_fm_entails(s, c) for c in p.constraints)
+        for c in s.constraints:
+            rest = Polyhedron(dims, [k for k in s.constraints if k != c])
+            assert not _fm_entails(rest, c)
 
 
 def test_prune_trivial_and_contradiction():
