@@ -11,11 +11,10 @@ NotSolved if that fails.  Narrowing is deliberately *not* run when the
 false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
-A round skips the hull of a contribution that the predicate's polyhedron
-already holds, when that polyhedron has no strict row: the hull is closed,
-so it would be the same polyhedron, and the ``entails`` test on the hull
-would find it covered.  Where the test does not apply, the hull is computed
-and that ``entails`` test decides.
+A round skips a contribution that the predicate's polyhedron already holds
+and otherwise takes the hull.  The hull holds the contribution, so it is
+inside the old polyhedron only when the contribution is: one ``entails``
+test before the hull decides whether the predicate grows.
 
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params
-from .terms import LT
 
 _WIDEN_DELAY = 1  # growth steps a predicate takes before it is widened
 
@@ -83,12 +81,9 @@ def step(p: Program, s: AbstractState) -> AbstractState:
             out.interp[pred] = poly
             out.changes[pred] = 1
             continue
-        # the hull is closed, so it equals a closed ``old`` that holds ``poly``
-        if all(r.rel != LT for r in old.constraints) and poly.entails(old):
-            continue
-        grown = old.hull(poly)
-        if grown.entails(old):
+        if poly.entails(old):
             continue  # old already covers the new contributions
+        grown = old.hull(poly)
         count = out.changes.get(pred, 0) + 1
         out.changes[pred] = count
         out.interp[pred] = old.widen(grown) if count > _WIDEN_DELAY else grown

@@ -45,7 +45,8 @@ Some questions are settled by the rows alone, and then no elimination
 runs.  Each shortcut answers only where Fourier-Motzkin would give the same
 answer:
 
-- ``entails`` is true for a target with the same rows;
+- ``entails`` is true when each row of the target passes ``row_entails``
+  (equal rows among them), before it asks whether the polyhedron is empty;
 - ``entails_constraint`` is true when ``row_entails``: the constraint is a
   row, or it is an inequality and a non-equality row with the same terms
   has a bound at least as strong, in ``_prune``'s order.  A row implies
@@ -388,7 +389,7 @@ class Polyhedron:
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        if self.constraints == other.constraints or self.is_empty():
+        if all(self.row_entails(c) for c in other.constraints) or self.is_empty():
             return True
         return all(self.entails_constraint(c) for c in other.constraints)
 
