@@ -8,7 +8,7 @@ dimension level until a solution is found or resources run out.
 """
 
 from .driver import Config, SolveOutcome, solve
-from .kdim import clause_count, erase_indices, kdim
+from .kdim import clause_count, kdim
 from .linear_solver import (AbstractState, LinearVerdict, solve_linear,
                             stabilized, step)
 from .models import (ConstrainedFact, Model, inductive, linearize,
@@ -26,7 +26,7 @@ __all__ = [
     "ConstrainedFact", "DerivTree", "DimensionMismatch", "LinearVerdict",
     "Model", "Node", "ParseError", "Polyhedron", "PredRef", "Program",
     "SolveOutcome", "Var", "clause_count", "dim", "enumerate_trees",
-    "erase_indices", "height", "inductive", "is_linear", "kdim",
+    "height", "inductive", "is_linear", "kdim",
     "linearize", "parse", "render_program", "render_tree",
     "satisfies_clause", "satisfies_program", "solve",
     "solve_linear", "stabilized", "step", "tree_constraint", "violations",

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .syntax import (ATMOST, EXACT, Atom, Clause, PredRef, Program,
-                     canonical_params, erase_indices_program)
+from .syntax import ATMOST, EXACT, Atom, Clause, PredRef, Program, canonical_params
 
 
 def _indexed(atom: Atom, kind: str, d: int) -> Atom:
@@ -110,10 +109,3 @@ def clause_count(p: Program, k: int) -> int:
                     total += 2 ** r - 2 - r  # proper subsets of size >= 2
     total += len(_bases(p)) * (k + 1) * (k + 2) // 2
     return total
-
-
-def erase_indices(x):
-    """Drop dimension annotations from a Program or a Model."""
-    if isinstance(x, Program):
-        return erase_indices_program(x)
-    return x.erase_indices()

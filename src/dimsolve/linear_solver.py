@@ -16,6 +16,12 @@ and otherwise takes the hull.  The hull holds the contribution, so it is
 inside the old polyhedron only when the contribution is: one ``entails``
 test before the hull decides whether the predicate grows.
 
+No stored interpretation is empty, so no round tests one for emptiness:
+``head_image`` gives None for an unsatisfiable body, and hulls and widenings
+of nonempty polyhedra are nonempty.  So a ``false`` variant is feasible
+exactly when it has an interpretation; were an empty one stored, the engine
+would err toward NotSolved, never toward a wrong Solved.
+
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
 inside ``polyhedra.memo()``, reusing the caller's table and deadline when
@@ -60,14 +66,14 @@ def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     new: dict[PredRef, Polyhedron] = {}
     for c in p.clauses:
         interps = [s.interp.get(atom.pred) for atom in c.body]
-        if any(i is None or i.is_empty() for i in interps):
+        if any(i is None for i in interps):
             continue
         poly = head_image(c, zip(c.body, interps))
         if poly is None:
             continue
         old = new.get(c.head.pred)
         new[c.head.pred] = poly if old is None else old.hull(poly)
-    return {pred: poly for pred, poly in new.items() if not poly.is_empty()}
+    return new
 
 
 def step(p: Program, s: AbstractState) -> AbstractState:
@@ -98,14 +104,13 @@ def stabilized(s1: AbstractState, s2: AbstractState) -> bool:
 
 
 def _false_feasible(s: AbstractState) -> bool:
-    return any(pred.base == FALSE_NAME and not poly.is_empty()
-               for pred, poly in s.interp.items())
+    return any(pred.base == FALSE_NAME for pred in s.interp)
 
 
 def _to_model(s: AbstractState) -> Model:
     m = Model()
     for pred, poly in s.interp.items():
-        if pred.base == FALSE_NAME or poly.is_empty():
+        if pred.base == FALSE_NAME:
             continue
         m.add(ConstrainedFact(pred, canonical_params(len(poly.dims)), poly))
     return m

@@ -8,21 +8,21 @@ keeps constraints of the new polyhedron able to stand in for a dropped one.
 Everything is exact; no floating point anywhere.
 
 A ``Constraint`` is the row ``(terms, const, rel)``.  ``_eliminate`` packs
-its input rows once as ``(coefficients, const, rel)`` triples: one integer
-coefficient per name, over the sorted names of the input rows.  It combines
+its input rows once, with ``terms`` as a tuple of one integer coefficient
+per name, over the sorted names of the input rows.  It combines
 them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
-dominated rows of either form, for ``Polyhedron`` and for the input rows
-of ``_eliminate``.  The elimination order is fixed by the names: equalities
-first, substituting away the smallest-named variable that an equality
-mentions, through the first such equality in row order; then
-Fourier-Motzkin on the variable with the fewest pos*neg pairings, ties
-going to the smallest name.
+dominated ``Constraint`` rows for ``Polyhedron``; ``_eliminate`` prunes its
+packed rows with ``_prune_masked``, on input and after each step.  The
+elimination order is fixed by the names: equalities first, substituting away
+the smallest-named variable that an equality mentions, through the first
+such equality in row order; then Fourier-Motzkin on the variable with the
+fewest pos*neg pairings, ties going to the smallest name.
 
 Fourier-Motzkin output is filtered by Chernikov's rule (Imbert, "Fourier's
 elimination: which to choose?", 1993).  Inside ``_eliminate`` each packed
 row carries a fourth field, its mask: an ``int`` with one bit for each input
-row it combines, the input rows numbered after the first prune.  The steps
+row it combines, the input rows numbered by their position.  The steps
 counted are each equality substitution and each Fourier-Motzkin step on a
 variable that some row mentions.  A substitution ORs the equality's mask
 into every row it rewrites, and a combination takes the union of the two
@@ -30,28 +30,27 @@ masks.  After ``steps`` steps a row that combines more than ``steps + 1``
 input rows is implied by the rows that combine fewer, so such a pair is
 never generated.  Counting too many steps only raises the bound, so some
 redundant rows stay; counting too few lowers it below what the rule allows,
-drops rows the result needs, and the elimination is no longer exact.
-Between steps, ``_prune_masked`` keeps one row per left-hand side (per
-equal equality), the strongest, with the AND of the masks of every row
+drops rows the result needs, and the elimination is no longer exact.  On
+input and between steps, ``_prune_masked`` keeps one row per left-hand side
+(per equal equality), the strongest, with the AND of the masks of every row
 merged into it.  That is exact: the kept row implies each merged row, and
-its mask is a subset of each of their masks, so the bound lets through
-every combination that any of them would have made, and each such
-combination implies the one the dropped row would have made.  Keeping the
-stronger row with its own mask is unsound: the rule then drops combinations
-of that row that the weaker row's mask would have let through, and ``sat``
-can answer true for an infeasible system.
+its mask is a subset of each of their masks, so the bound lets through every
+combination that any of them would have made, and each such combination
+implies the one the dropped row would have made.  Keeping the stronger row
+with its own mask is unsound: the rule then drops combinations of that row
+that the weaker row's mask would have let through, and ``sat`` can answer
+true for an infeasible system.
 
 Some questions are settled by the rows alone, and then no elimination
 runs.  Each shortcut answers only where Fourier-Motzkin would give the same
 answer:
 
-- ``entails`` is true when each row of the target passes ``row_entails``
-  (equal rows among them), before it asks whether the polyhedron is empty;
 - ``entails_constraint`` is true when ``row_entails``: the constraint is a
   row, or it is an inequality and a non-equality row with the same terms
   has a bound at least as strong, in ``_prune``'s order.  A row implies
-  what it dominates.  ``models._covered`` uses the same test to split off
-  no pieces for a head row that the region implies;
+  what it dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only
+  through ``entails_constraint``, and ``models._covered`` uses the same
+  test to split off no pieces for a head row that the region implies;
 - ``_simplify`` keeps a row unchecked when it mentions a variable that no
   other kept row mentions.  The polyhedron is nonempty, and moving along
   that variable from any point breaks the row and no other, so the others
@@ -154,14 +153,13 @@ def _is_false(const, rel) -> bool:
 
 
 def _prune(rows):
-    """Drop trivial and dominated ``(lhs, const, rel)`` rows; None when a
-    contradiction is found.  ``lhs`` is a ``Constraint``'s terms or a packed
-    coefficient tuple; ``not any(lhs)`` holds for a constant row in both."""
+    """Drop trivial and dominated ``Constraint`` rows; None when a
+    contradiction is found."""
     eqs = {}
     ineqs = {}
     for r in rows:
         lhs, const, rel = r
-        if not any(lhs):
+        if not lhs:
             if _is_false(const, rel):
                 return None
             continue
@@ -177,9 +175,9 @@ def _prune(rows):
 
 def _prune_masked(rows):
     """``_prune`` for the masked ``(lhs, const, rel, mask)`` rows of
-    ``_eliminate``: each left-hand side (for equalities, with its constant)
-    keeps its strongest row, with the AND of the masks of every row merged
-    into it."""
+    ``_eliminate``, ``lhs`` a packed coefficient tuple: each left-hand side
+    (for equalities, with its constant) keeps its strongest row, with the
+    AND of the masks of every row merged into it."""
     eqs = {}
     ineqs = {}
     for r in rows:
@@ -216,9 +214,10 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
 
     The rows are packed once as ``(coefficients, const, rel, mask)``, with
     one integer coefficient per name in the sorted names of the input rows,
-    and bit ``i`` of the mask set in the ``i``-th row left by the first
-    prune.  They are combined with integer arithmetic, and only the result
-    is unpacked into ``Constraint``s.
+    and bit ``i`` of the mask set in the ``i``-th input row; ``_prune_masked``
+    prunes them first, so that input duplicates merge as later rows do.
+    They are combined with integer arithmetic, and only the result is
+    unpacked into ``Constraint``s.
     Each step eliminates one variable: while an equality mentions a
     variable of ``elim``, the smallest such name is substituted away through
     its first equality in row order, and the equality's mask joins the mask
@@ -239,15 +238,14 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     names = sorted({v for r in rows for v, _ in r.terms})
     col = {v: j for j, v in enumerate(names)}
     packed = []
-    for r in rows:
+    for i, r in enumerate(rows):
         cs = [0] * len(names)
         for v, k in r.terms:
             cs[col[v]] = k
-        packed.append((tuple(cs), r.const, r.rel))
-    rows = _prune(packed)
+        packed.append((tuple(cs), r.const, r.rel, 1 << i))
+    rows = _prune_masked(packed)
     if rows is None:
         return None
-    rows = [(cs, const, rel, 1 << i) for i, (cs, const, rel) in enumerate(rows)]
     steps = 0
     remaining = set(elim)
     # Fourier-Motzkin only makes inequalities, so once no equality mentions
@@ -389,8 +387,6 @@ class Polyhedron:
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        if all(self.row_entails(c) for c in other.constraints) or self.is_empty():
-            return True
         return all(self.entails_constraint(c) for c in other.constraints)
 
     def project(self, keep) -> "Polyhedron":
@@ -438,6 +434,15 @@ class Polyhedron:
         return Polyhedron(self.dims, out).simplify()
 
     def widen(self, other: "Polyhedron") -> "Polyhedron":
+        """The standard widening with its refinement, over the rows ``cs1``
+        of ``self`` and ``cs2`` of ``other``, equalities split in two.
+
+        Keeps each row of ``cs1`` that ``other`` implies.  Keeps a row ``b``
+        of ``cs2`` when ``self`` implies ``b`` and, for some ``a`` in
+        ``cs1``, ``cs1`` with ``b`` in place of ``a`` implies ``a``: then
+        the swapped rows describe ``self`` again, and ``b`` may stand in
+        for ``a``.
+        """
         if set(self.dims) != set(other.dims):
             raise DimensionMismatch("widen arguments must share dimensions")
         if self.is_empty():
@@ -447,17 +452,15 @@ class Polyhedron:
         cs1 = _decompose(self.simplify().constraints)
         cs2 = _decompose(other.simplify().constraints)
         kept = [a for a in cs1 if other.entails_constraint(a)]
-        extra = []
-        base = Polyhedron(self.dims, cs1)
         for b in cs2:
-            if b in kept or b in extra:
+            if b in kept or not self.entails_constraint(b):
                 continue
             for a in cs1:
-                swapped = Polyhedron(self.dims, [x for x in cs1 if x != a] + [b])
-                if swapped.entails(base) and base.entails(swapped):
-                    extra.append(b)
+                swapped = [x for x in cs1 if x != a] + [b]
+                if Polyhedron(self.dims, swapped).entails_constraint(a):
+                    kept.append(b)
                     break
-        return Polyhedron(self.dims, kept + extra).simplify()
+        return Polyhedron(self.dims, kept).simplify()
 
     def simplify(self) -> "Polyhedron":
         return _memoized(("simplify", self.dims, self.constraints), self._simplify)

@@ -100,6 +100,15 @@ class Program:
                         f"predicate {a.pred!r} used with arity {len(a.args)} and {old}")
         return Program(clauses, sigs)
 
+    def erase_indices(self) -> "Program":
+        """Drop dimension annotations from every atom."""
+        def erase_atom(a: Atom) -> Atom:
+            return Atom(a.pred.erase(), a.args)
+
+        return Program.from_clauses(
+            replace(c, head=erase_atom(c.head), body=tuple(erase_atom(a) for a in c.body))
+            for c in self.clauses)
+
     def __repr__(self):
         return render_program(self)
 
@@ -182,15 +191,3 @@ def render_clause(c: Clause) -> str:
 
 def render_program(p: Program) -> str:
     return "".join(render_clause(c) + "\n" for c in p.clauses)
-
-
-# ---------------------------------------------------------------------------
-# index erasure
-
-def erase_indices_program(p: Program) -> Program:
-    def erase_atom(a: Atom) -> Atom:
-        return Atom(a.pred.erase(), a.args)
-
-    out = [replace(c, head=erase_atom(c.head), body=tuple(erase_atom(a) for a in c.body))
-           for c in p.clauses]
-    return Program.from_clauses(out)

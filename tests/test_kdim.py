@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from dimsolve.kdim import clause_count, erase_indices, kdim
+from dimsolve.kdim import clause_count, kdim
 from dimsolve.parser import parse
 from dimsolve.syntax import Program, is_linear, render_clause, render_program
 
@@ -121,18 +121,11 @@ def test_rejects_lowest_outside_levels(fib, k, lowest):
 
 
 def test_erase_indices_program(fib):
-    erased = erase_indices(kdim(fib, 0))
+    erased = kdim(fib, 0).erase_indices()
     assert all(not a.pred.indexed
                for c in erased.clauses for a in (c.head, *c.body))
     # non-indexed input is unchanged
-    assert erase_indices(fib).clauses == fib.clauses
-
-
-def test_erase_indices_dispatches_to_models():
-    from dimsolve.models import Model
-    m = Model.parse("fib(0)(A,B) :- [A>=0].\nfib[1](A,B) :- [A>=1].\n")
-    erased = erase_indices(m)
-    assert all(not p.indexed for p in erased.facts)
+    assert fib.erase_indices().clauses == fib.clauses
 
 
 def kdim_pairs(p, k):

@@ -1,12 +1,15 @@
+import random
+
 from dimsolve import linear_solver
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import AbstractState, solve_linear, stabilized, step
-from dimsolve.models import satisfies_program, violations
+from dimsolve.models import Model, linearize, satisfies_program, violations
 from dimsolve.parser import parse
 from dimsolve.syntax import ATMOST, EXACT, PredRef
 from dimsolve.terms import EQ
 
-from conftest import GRAZE_SRC, C, false_feasible_without_narrowing, poly
+from conftest import (GRAZE_SRC, C, false_feasible_without_narrowing, poly,
+                      random_program)
 
 SEG0 = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1), C({"A": 1, "B": -1}, 0, EQ))
 
@@ -121,3 +124,36 @@ def test_narrowing_recovers_spurious_false():
     program = parse(GRAZE_SRC)
     assert false_feasible_without_narrowing(program)
     assert solve_linear(program).solved
+
+
+def test_no_interpretation_is_empty(monkeypatch, fib, tree3):
+    # the rounds never test an interpretation for emptiness; this holds
+    # them to it, in the ascending rounds (``step``) and the narrowing
+    # rounds (``_contributions``), on kdim levels 0-2 linearized
+    calls = {"step": 0, "_contributions": 0}
+
+    def nonempty(name, fn, polys):
+        def wrapped(p, s):
+            out = fn(p, s)
+            calls[name] += 1
+            assert not any(poly.is_empty() for poly in polys(out).values())
+            return out
+        return wrapped
+    monkeypatch.setattr(linear_solver, "step", nonempty(
+        "step", linear_solver.step, lambda out: out.interp))
+    monkeypatch.setattr(linear_solver, "_contributions", nonempty(
+        "_contributions", linear_solver._contributions, lambda out: out))
+    rng = random.Random(83)
+    programs = [fib, tree3, parse(GRAZE_SRC)] + [random_program(rng) for _ in range(10)]
+    outcomes = set()
+    for p in programs:
+        model = Model()
+        for k in range(3):
+            level = kdim(p, 0) if k == 0 else linearize(kdim(p, k, k), model)
+            v = solve_linear(level)
+            outcomes.add(v.solved)
+            if not v.solved:
+                break
+            model.facts.update(v.model.facts)
+    assert outcomes == {True, False}
+    assert calls["step"] > 0 and calls["_contributions"] > calls["step"]

@@ -2,11 +2,11 @@
 outcomes recorded in ``perfbench/expected.json``.
 
 Covers the ``suite`` and ``tree3-deep`` workloads at seed 0 (the texts as
-written) and the eight renamings of seed 1, and ``fib-eq`` at seed 0, the
-hull- and widen-heavy program that ends ``UNKNOWN not-solved`` at k=5.  It
-compares the status, the reason, the level reached and the sha256 of the
-rendered model of every solve.  A change that alters any of them must say so
-and update the record.
+written) and the eight renamings of each of seeds 1, 2 and 3, and ``fib-eq``
+at seed 0, the hull- and widen-heavy program that ends ``UNKNOWN not-solved``
+at k=5.  It compares the status, the reason, the level reached and the
+sha256 of the rendered model of every solve.  A change that alters any of
+them must say so and update the record.
 """
 
 import hashlib
@@ -27,7 +27,8 @@ with open(os.path.join(PERFBENCH, "expected.json")) as f:
     EXPECTED = json.load(f)
 
 RUNS = [(name, 0, 0) for name in ("suite", "tree3-deep", "fib-eq")] + [
-    (name, 1, v) for name in ("suite", "tree3-deep") for v in range(VARIANTS)]
+    (name, seed, v) for name in ("suite", "tree3-deep")
+    for seed in (1, 2, 3) for v in range(VARIANTS)]
 
 
 @pytest.mark.parametrize("workload, seed, variant", RUNS)

@@ -94,6 +94,22 @@ def test_entails_dimension_mismatch():
         poly(("A",), C({"A": 1}, 0)).entails(poly(("Z",), C({"Z": 1}, 0)))
 
 
+def test_entails_is_emptiness_or_each_row():
+    rng = random.Random(67)
+    dims = ("A", "B")
+    # empty by the prune alone, and empty only by Fourier-Motzkin
+    empties = [Polyhedron.bottom(dims), poly(dims, C({"A": -1}, 1), C({"A": 1}, 0))]
+    assert empties[1].constraints != Polyhedron.bottom(dims).constraints
+    polys = empties + [random_poly(rng, dims) for _ in range(150)]
+    for a in polys:
+        for b in polys[:2] + rng.sample(polys, 20):
+            # fresh operands, so that no cached ``sat`` answers
+            p, q = Polyhedron(dims, a.constraints), Polyhedron(dims, b.constraints)
+            want = p.is_empty() or all(p.entails_constraint(c) for c in q.constraints)
+            assert p.entails(q) == want, (p, q)
+    assert all(e.entails(q) for e in empties for q in polys)
+
+
 def test_entails_reflexive_transitive():
     rng = random.Random(7)
     for _ in range(60):
@@ -218,6 +234,55 @@ def test_widen_upper_bound_and_stabilization():
                 break
             chain = w
             assert steps <= budget, "widening chain failed to stabilize"
+
+
+def _reference_entails(p, q) -> bool:
+    """``p.entails(q)`` by emptiness and Fourier-Motzkin per row of ``q``."""
+    return p.is_empty() or all(_fm_entails(p, c) for c in q.constraints)
+
+
+def _reference_widen(p, q):
+    """``p.widen(q)`` with the refinement as it was: a row ``b`` of ``q`` is
+    added when swapping it for some row ``a`` of ``p`` gives a polyhedron
+    equal to ``p``'s rows, tested by entailment both ways.  Also returns
+    whether any row was added."""
+    if p.is_empty():
+        return Polyhedron(p.dims, q.constraints), False
+    if q.is_empty():
+        return p, False
+    cs1 = polyhedra._decompose(p.simplify().constraints)
+    cs2 = polyhedra._decompose(q.simplify().constraints)
+    kept = [a for a in cs1 if _fm_entails(q, a)]
+    extra = []
+    base = Polyhedron(p.dims, cs1)
+    for b in cs2:
+        if b in kept or b in extra:
+            continue
+        for a in cs1:
+            swapped = Polyhedron(p.dims, [x for x in cs1 if x != a] + [b])
+            if _reference_entails(swapped, base) and _reference_entails(base, swapped):
+                extra.append(b)
+                break
+    return Polyhedron(p.dims, kept + extra).simplify(), bool(extra)
+
+
+def test_widen_matches_reference_refinement():
+    rng = random.Random(71)
+    dims = ("x", "y")
+
+    def nonempty():
+        while True:
+            p = random_poly(rng, dims)
+            if not p.is_empty():
+                return p
+    refined = 0
+    for i in range(600):
+        p, r = nonempty(), nonempty()
+        q = p.hull(r) if i % 2 else r
+        want, added = _reference_widen(p, q)
+        assert p.widen(q).constraints == want.constraints, (p, q)
+        refined += added
+    assert refined >= 10
 
 
 # --- simplify ----------------------------------------------------------
