@@ -9,8 +9,7 @@ dimension level until a solution is found or resources run out.
 
 from .driver import Config, SolveOutcome, solve
 from .kdim import clause_count, kdim
-from .linear_solver import (AbstractState, LinearVerdict, solve_linear,
-                            stabilized, step)
+from .linear_solver import LinearVerdict, solve_linear, step
 from .models import (ConstrainedFact, Model, inductive, linearize,
                      satisfies_clause, satisfies_program, violations)
 from .parser import ParseError, parse
@@ -22,12 +21,12 @@ from .trees import (DerivTree, Node, dim, enumerate_trees, height,
                     render_tree, tree_constraint)
 
 __all__ = [
-    "AbstractState", "Atom", "Clause", "Config", "Constraint",
-    "ConstrainedFact", "DerivTree", "DimensionMismatch", "LinearVerdict",
+    "Atom", "Clause", "Config", "Constraint", "ConstrainedFact", "DerivTree",
+    "DimensionMismatch", "LinearVerdict",
     "Model", "Node", "ParseError", "Polyhedron", "PredRef", "Program",
     "SolveOutcome", "Var", "clause_count", "dim", "enumerate_trees",
     "height", "inductive", "is_linear", "kdim",
     "linearize", "parse", "render_program", "render_tree",
     "satisfies_clause", "satisfies_program", "solve",
-    "solve_linear", "stabilized", "step", "tree_constraint", "violations",
+    "solve_linear", "step", "tree_constraint", "violations",
 ]

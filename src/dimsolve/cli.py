@@ -74,6 +74,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise SystemExit(_fail(f"cannot read {path}: {e.strerror}"))
+    except UnicodeDecodeError as e:
+        raise SystemExit(_fail(f"cannot read {path}: {e}"))
 
 
 def _parse_program(path: str):

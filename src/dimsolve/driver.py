@@ -1,7 +1,8 @@
-"""The solve loop: solve one dimension level, test the index-erased model of
-all levels so far for inductiveness, and linearize only the next level's
-clauses ``kdim(p, k, k)`` against that model, until a solution is found or
-resources run out.  Each level adds facts for its own predicates only.
+"""The solve loop: for k = 0, 1, ..., linearize the level's own clauses
+``kdim(p, k, k)`` against the model of the levels below it (empty at level
+0), solve that linear program, and test the index-erased model of all
+levels so far for inductiveness, until a solution is found or resources run
+out.  Each level adds facts for its own predicates only.
 
 Soundness: a Solved outcome always carries a model that passed the
 independent inductiveness re-check against the original clauses, so the
@@ -59,14 +60,15 @@ class SolveOutcome:
 
 def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
     cfg = cfg or Config()
+    if cfg.max_k < 0:
+        raise ValueError("max_k must be nonnegative")
     deadline = time.monotonic() + cfg.timeout_s if cfg.timeout_s is not None else None
     stats: list[dict] = []
-    k = 0
-    current = kdim(p, 0)
     accumulated = Model()
     with memo(deadline):
         try:
-            while True:
+            for k in range(cfg.max_k + 1):
+                current = linearize(kdim(p, k, k), accumulated)
                 began = time.monotonic()
                 verdict = solve_linear(current, trace=trace)
                 entry = {"k": k, "clauses": len(current.clauses),
@@ -90,9 +92,6 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
                           f"violated={entry['violated']} check={entry['check_s']:.2f}s")
                 if not failed:
                     return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
-                if k + 1 > cfg.max_k:
-                    return SolveOutcome("unknown", None, UNKNOWN_MAX_K, k, stats)
-                k += 1
-                current = linearize(kdim(p, k, k), accumulated)
+            return SolveOutcome("unknown", None, UNKNOWN_MAX_K, cfg.max_k, stats)
         except ResourceExhausted as e:
             return SolveOutcome("unknown", None, e.reason, k, stats)

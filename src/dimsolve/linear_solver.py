@@ -1,9 +1,10 @@
 """Convex fixpoint engine for Horn clause programs.
 
 Computes one convex polyhedron per predicate as an over-approximation of the
-least model, by synchronous Kleene rounds that widen a predicate once it
-has grown more than ``_WIDEN_DELAY`` (one) times.  The program need not be
-linear: ``head_image`` conjoins the polyhedra of any number of body atoms.
+least model, by synchronous Kleene rounds.  A predicate's first
+contribution is taken as it is; every later growth is widened.  The program
+need not be linear: ``head_image`` conjoins the polyhedra of any number of
+body atoms.
 The approximation counts as a solution when every ``false`` variant stays
 empty; if a false variant becomes feasible the engine always tries a
 bounded descending (narrowing) phase to recover precision, and reports
@@ -14,7 +15,10 @@ what later iterations of the outer algorithm need.
 A round skips a contribution that the predicate's polyhedron already holds
 and otherwise takes the hull.  The hull holds the contribution, so it is
 inside the old polyhedron only when the contribution is: one ``entails``
-test before the hull decides whether the predicate grows.
+test before the hull decides whether the predicate grows.  A round in which
+no predicate grows returns its input state, and that ends the ascent.  The
+descending rounds start from that post-fixpoint and, the contributions being
+monotone, only shrink; they end at the first round that shrinks nothing.
 
 No stored interpretation is empty, so no round tests one for emptiness:
 ``head_image`` gives None for an unsatisfiable body, and hulls and widenings
@@ -31,20 +35,11 @@ there is one.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params
-
-_WIDEN_DELAY = 1  # growth steps a predicate takes before it is widened
-
-
-@dataclass
-class AbstractState:
-    interp: dict[PredRef, Polyhedron] = field(default_factory=dict)
-    changes: dict[PredRef, int] = field(default_factory=dict)
-
 
 @dataclass
 class LinearVerdict:
@@ -61,11 +56,12 @@ class NoFixpoint(ResourceExhausted):
     reason = "no-fixpoint"
 
 
-def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
+def _contributions(p: Program,
+                   s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
     """One synchronous evaluation of all clauses against the current state."""
     new: dict[PredRef, Polyhedron] = {}
     for c in p.clauses:
-        interps = [s.interp.get(atom.pred) for atom in c.body]
+        interps = [s.get(atom.pred) for atom in c.body]
         if any(i is None for i in interps):
             continue
         poly = head_image(c, zip(c.body, interps))
@@ -76,40 +72,27 @@ def _contributions(p: Program, s: AbstractState) -> dict[PredRef, Polyhedron]:
     return new
 
 
-def step(p: Program, s: AbstractState) -> AbstractState:
-    """One Kleene round: join new contributions into the state, widening any
-    predicate that has already grown more than ``_WIDEN_DELAY`` times."""
-    contrib = _contributions(p, s)
-    out = AbstractState(dict(s.interp), dict(s.changes))
-    for pred, poly in contrib.items():
-        old = out.interp.get(pred)
-        if old is None:
-            out.interp[pred] = poly
-            out.changes[pred] = 1
-            continue
-        if poly.entails(old):
+def step(p: Program, s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
+    """One Kleene round: take a predicate's first contribution as it is and
+    widen every later growth.  Returns ``s`` itself when nothing grows."""
+    out = s
+    for pred, poly in _contributions(p, s).items():
+        old = s.get(pred)
+        if old is not None and poly.entails(old):
             continue  # old already covers the new contributions
-        grown = old.hull(poly)
-        count = out.changes.get(pred, 0) + 1
-        out.changes[pred] = count
-        out.interp[pred] = old.widen(grown) if count > _WIDEN_DELAY else grown
+        if out is s:
+            out = dict(s)
+        out[pred] = poly if old is None else old.widen(old.hull(poly))
     return out
 
 
-def stabilized(s1: AbstractState, s2: AbstractState) -> bool:
-    if set(s1.interp) != set(s2.interp):
-        return False
-    return all(s1.interp[q].entails(s2.interp[q]) and s2.interp[q].entails(s1.interp[q])
-               for q in s1.interp)
+def _false_feasible(s: dict[PredRef, Polyhedron]) -> bool:
+    return any(pred.base == FALSE_NAME for pred in s)
 
 
-def _false_feasible(s: AbstractState) -> bool:
-    return any(pred.base == FALSE_NAME for pred in s.interp)
-
-
-def _to_model(s: AbstractState) -> Model:
+def _to_model(s: dict[PredRef, Polyhedron]) -> Model:
     m = Model()
-    for pred, poly in s.interp.items():
+    for pred, poly in s.items():
         if pred.base == FALSE_NAME:
             continue
         m.add(ConstrainedFact(pred, canonical_params(len(poly.dims)), poly))
@@ -119,14 +102,14 @@ def _to_model(s: AbstractState) -> Model:
 def solve_linear(p: Program, trace=None) -> LinearVerdict:
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
-    max_rounds = 10 * (_WIDEN_DELAY + total_constraints + 8) + 10 * npreds
+    max_rounds = 10 * (total_constraints + 9) + 10 * npreds
     with memo():
-        state = AbstractState()
+        state: dict[PredRef, Polyhedron] = {}
         rounds = 0
         while True:
             nxt = step(p, state)
             rounds += 1
-            if stabilized(state, nxt):
+            if nxt is state:
                 break
             state = nxt
             if rounds > max_rounds:
@@ -135,8 +118,9 @@ def solve_linear(p: Program, trace=None) -> LinearVerdict:
             trace(f"fixpoint after {rounds} rounds")
         if _false_feasible(state):
             for i in range(npreds + 2):
-                refined = AbstractState(_contributions(p, state), dict(state.changes))
-                if stabilized(state, refined):
+                refined = _contributions(p, state)
+                if refined.keys() == state.keys() and all(
+                        state[q].entails(refined[q]) for q in state):
                     break
                 state = refined
             if trace:

@@ -37,7 +37,7 @@ def test_max_k_zero_unknown(capsys):
 # Each resource cap, forced to trip: (module, attribute, value, reason).
 CAPS = [
     ("dimsolve.polyhedra", "_ROW_CAP", 0, "fm-row-cap"),
-    ("dimsolve.linear_solver", "stabilized", lambda s1, s2: False, "no-fixpoint"),
+    ("dimsolve.linear_solver", "step", lambda p, s: dict(s), "no-fixpoint"),
     ("dimsolve.models", "_SPLIT_BUDGET", 0, "split-budget"),
 ]
 
@@ -69,6 +69,17 @@ def test_missing_file_exit_one(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [[], ["dim"]], ids=["solve", "dim"])
+def test_non_utf8_file_exit_one(tmp_path, capsys, command):
+    f = tmp_path / "latin1.pl"
+    f.write_bytes(b"p(X) :- X = 0. % caf\xe9\n")
+    code, out, err = run_cli([*command, str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"dimsolve: cannot read {f}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
+
+
 def test_parse_error_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.pl"
     bad.write_text("p(X :- X = 1.\n")
@@ -81,16 +92,16 @@ def test_usage_error_exit_one(capsys):
     assert code == 1
 
 
-UNKNOWN_WIDEN_DELAY = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\n"
-                       "dimsolve: error: unrecognized arguments: --widen-delay=1\n")
+WIDEN_DELAY_REJECTED = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\n"
+                        "dimsolve: error: unrecognized arguments: --widen-delay=1\n")
 
 
 @pytest.mark.parametrize("args, message", [
     (["--max-k", "-3"], "dimsolve: --max-k must be nonnegative\n"),
     (["--dump-trees", "3", "--max-nodes", "0"], "dimsolve: --max-nodes must be at least 1\n"),
-    # the widening delay is the constant linear_solver._WIDEN_DELAY, not an option
-    (["--widen-delay=1"], UNKNOWN_WIDEN_DELAY),
-    (["solve-linear", "--widen-delay=1"], UNKNOWN_WIDEN_DELAY),
+    # widening has no delay to set: every growth after a predicate's first is widened
+    (["--widen-delay=1"], WIDEN_DELAY_REJECTED),
+    (["solve-linear", "--widen-delay=1"], WIDEN_DELAY_REJECTED),
     (["--dump-trees", "-2"], "dimsolve: --dump-trees must be nonnegative\n"),
     (["--timeout-s", "-1"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),

@@ -52,6 +52,12 @@ def test_max_k_bound(fib_bench):
     assert out.reason == UNKNOWN_MAX_K
 
 
+def test_negative_max_k_rejected():
+    # a negative bound admits no level, not even level 0
+    with pytest.raises(ValueError, match="max_k must be nonnegative"):
+        solve(parse("p(X) :- X = 0."), Config(max_k=-1))
+
+
 def test_timeout():
     out = solve(parse(open("benchmarks/fib.pl").read()), Config(timeout_s=0.0))
     assert out.status == "unknown"
@@ -61,7 +67,7 @@ def test_timeout():
 # Each resource cap, forced to trip: (module, attribute, value, reason).
 CAPS = [
     (polyhedra, "_ROW_CAP", 0, UNKNOWN_ROW_CAP),
-    (linear_solver, "stabilized", lambda s1, s2: False, UNKNOWN_NO_FIXPOINT),
+    (linear_solver, "step", lambda p, s: dict(s), UNKNOWN_NO_FIXPOINT),
     (models, "_SPLIT_BUDGET", 0, UNKNOWN_SPLIT_BUDGET),
 ]
 
@@ -168,14 +174,18 @@ def test_level_program_solves_like_the_full_program(fib, tree3):
 
 @pytest.mark.parametrize("layer, k", [("violations", 0), ("linearize", 1)])
 def test_timeout_in_check_and_linearize(fib_bench, monkeypatch, layer, k):
-    # the clock stands still until ``layer`` starts and then jumps past the
-    # deadline, so only the eliminations inside that layer can see it
+    # the clock stands still until ``layer`` starts at level ``k`` and then
+    # jumps past the deadline, so only the eliminations inside that call can
+    # see it; each layer runs once per level, level 0 included
     clock = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: clock[0])
     original = getattr(driver, layer)
+    calls = []
 
     def jump(*args):
-        clock[0] = 100.0
+        calls.append(args)
+        if len(calls) == k + 1:
+            clock[0] = 100.0
         return original(*args)
 
     monkeypatch.setattr(driver, layer, jump)

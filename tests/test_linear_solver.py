@@ -2,7 +2,7 @@ import random
 
 from dimsolve import linear_solver
 from dimsolve.kdim import kdim
-from dimsolve.linear_solver import AbstractState, solve_linear, stabilized, step
+from dimsolve.linear_solver import solve_linear, step
 from dimsolve.models import Model, linearize, satisfies_program, violations
 from dimsolve.parser import parse
 from dimsolve.syntax import ATMOST, EXACT, PredRef
@@ -25,31 +25,34 @@ def test_solves_nonlinear_program(fib, fib_bench):
 
 def test_step_from_empty_fires_facts_only(fib):
     k0 = kdim(fib, 0)
-    s1 = step(k0, AbstractState())
-    assert set(s1.interp) == {PredRef("fib", EXACT, 0)}
-    got = s1.interp[PredRef("fib", EXACT, 0)]
+    s1 = step(k0, {})
+    assert set(s1) == {PredRef("fib", EXACT, 0)}
+    got = s1[PredRef("fib", EXACT, 0)]
     assert got.entails(SEG0) and SEG0.entails(got)
 
 
 def test_second_step_fires_bookkeeping(fib):
     k0 = kdim(fib, 0)
-    s2 = step(k0, step(k0, AbstractState()))
-    assert PredRef("fib", ATMOST, 0) in s2.interp
-    assert not any(p.base == "false" for p in s2.interp)
+    s2 = step(k0, step(k0, {}))
+    assert PredRef("fib", ATMOST, 0) in s2
+    assert not any(p.base == "false" for p in s2)
 
 
 def test_step_empty_program():
-    s = step(parse(""), AbstractState())
-    assert not s.interp
+    empty = {}
+    assert step(parse(""), empty) is empty
 
 
-def test_stabilized():
-    a = AbstractState({PredRef("p"): poly(("A",), C({"A": -1}, 0))})
-    b = AbstractState({PredRef("p"): poly(("A",), C({"A": -1}, 0))})
-    c = AbstractState({PredRef("p"): poly(("A",), C({"A": -1}, 1))})
-    assert stabilized(a, b)
-    assert not stabilized(a, c)
-    assert not stabilized(a, AbstractState())
+def test_widening_schedule():
+    # a predicate's first contribution is taken as it is, every later growth
+    # is widened, and a round that grows nothing returns its input
+    program = parse("p(X) :- X=0.\np(Y) :- Y=X+1, p(X).")
+    p = PredRef("p")
+    first = step(program, {})
+    assert first[p] == poly(("A",), C({"A": 1}, 0, EQ))
+    second = step(program, first)
+    assert second[p] == poly(("A",), C({"A": -1}, 0))
+    assert step(program, second) is second
 
 
 def test_solve_fib_level0(fib):
@@ -89,32 +92,32 @@ def test_soundness_gate_on_solved_models(fib, fib_bench):
 
 
 def test_round_cap_within_budget(fib):
-    """Stabilization within _WIDEN_DELAY + constraint-count + 8 rounds."""
+    """Stabilization within constraint-count + 9 rounds."""
     for program in (kdim(fib, 0), kdim(fib, 1),
                     parse("p(X) :- X=0.\np(Y) :- Y=X+1, p(X).")):
         if not all(len(c.body) <= 1 for c in program.clauses):
             continue
-        cap = linear_solver._WIDEN_DELAY + sum(len(c.constraint) for c in program.clauses) + 8
-        state = AbstractState()
+        cap = sum(len(c.constraint) for c in program.clauses) + 9
+        state = {}
         rounds = 0
         while True:
             nxt = step(program, state)
             rounds += 1
             assert rounds <= cap, "fixpoint exceeded the round budget"
-            if stabilized(state, nxt):
+            if nxt is state:
                 break
             state = nxt
 
 
-def test_monotone_rounds_pre_widening(fib, monkeypatch):
-    """Before widening kicks in, per-predicate values only grow."""
-    monkeypatch.setattr(linear_solver, "_WIDEN_DELAY", 10 ** 6)
+def test_monotone_rounds_pre_widening(fib):
+    """Per-predicate values only grow: a round joins into the old value, and
+    widening is an upper bound of the join."""
     program = kdim(fib, 1)
-    state = AbstractState()
+    state = {}
     for _ in range(3):
         nxt = step(program, state)
-        for pred, old in state.interp.items():
-            assert old.entails(nxt.interp[pred])
+        for pred, old in state.items():
+            assert old.entails(nxt[pred])
         state = nxt
 
 
@@ -126,34 +129,70 @@ def test_narrowing_recovers_spurious_false():
     assert solve_linear(program).solved
 
 
+def _level_programs(fib, tree3):
+    rng = random.Random(83)
+    return [fib, tree3, parse(GRAZE_SRC)] + [random_program(rng) for _ in range(10)]
+
+
+def _solve_levels(programs) -> set[bool]:
+    """Solve kdim levels 0-2 of each program, each linearized against the
+    model of the levels below it; the linear verdicts seen."""
+    outcomes = set()
+    for p in programs:
+        model = Model()
+        for k in range(3):
+            v = solve_linear(linearize(kdim(p, k, k), model))
+            outcomes.add(v.solved)
+            if not v.solved:
+                break
+            model.facts.update(v.model.facts)
+    return outcomes
+
+
 def test_no_interpretation_is_empty(monkeypatch, fib, tree3):
     # the rounds never test an interpretation for emptiness; this holds
     # them to it, in the ascending rounds (``step``) and the narrowing
     # rounds (``_contributions``), on kdim levels 0-2 linearized
     calls = {"step": 0, "_contributions": 0}
 
-    def nonempty(name, fn, polys):
+    def nonempty(name, fn):
         def wrapped(p, s):
             out = fn(p, s)
             calls[name] += 1
-            assert not any(poly.is_empty() for poly in polys(out).values())
+            assert not any(poly.is_empty() for poly in out.values())
             return out
         return wrapped
-    monkeypatch.setattr(linear_solver, "step", nonempty(
-        "step", linear_solver.step, lambda out: out.interp))
+    monkeypatch.setattr(linear_solver, "step", nonempty("step", linear_solver.step))
     monkeypatch.setattr(linear_solver, "_contributions", nonempty(
-        "_contributions", linear_solver._contributions, lambda out: out))
-    rng = random.Random(83)
-    programs = [fib, tree3, parse(GRAZE_SRC)] + [random_program(rng) for _ in range(10)]
-    outcomes = set()
-    for p in programs:
-        model = Model()
-        for k in range(3):
-            level = kdim(p, 0) if k == 0 else linearize(kdim(p, k, k), model)
-            v = solve_linear(level)
-            outcomes.add(v.solved)
-            if not v.solved:
-                break
-            model.facts.update(v.model.facts)
-    assert outcomes == {True, False}
+        "_contributions", linear_solver._contributions))
+    assert _solve_levels(_level_programs(fib, tree3)) == {True, False}
     assert calls["step"] > 0 and calls["_contributions"] > calls["step"]
+
+
+def test_narrowing_rounds_only_shrink(monkeypatch, fib, tree3):
+    # the descending rounds stop at the first round whose state entails its
+    # refinement; one direction is enough because a descending round from a
+    # post-fixpoint adds no predicate and grows none
+    ascending = []
+    narrowing_rounds = 0
+    step, contributions = linear_solver.step, linear_solver._contributions
+
+    def flagged_step(p, s):
+        ascending.append(True)
+        try:
+            return step(p, s)
+        finally:
+            ascending.pop()
+
+    def checked_contributions(p, s):
+        nonlocal narrowing_rounds
+        refined = contributions(p, s)
+        if not ascending:
+            narrowing_rounds += 1
+            assert refined.keys() <= s.keys()
+            assert all(refined[q].entails(s[q]) for q in refined)
+        return refined
+    monkeypatch.setattr(linear_solver, "step", flagged_step)
+    monkeypatch.setattr(linear_solver, "_contributions", checked_contributions)
+    _solve_levels(_level_programs(fib, tree3))
+    assert narrowing_rounds > 0
