@@ -75,15 +75,14 @@ def _contributions(p: Program,
 def step(p: Program, s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
     """One Kleene round: take a predicate's first contribution as it is and
     widen every later growth.  Returns ``s`` itself when nothing grows."""
-    out = s
+    grown: dict[PredRef, Polyhedron] = {}
     for pred, poly in _contributions(p, s).items():
         old = s.get(pred)
-        if old is not None and poly.entails(old):
-            continue  # old already covers the new contributions
-        if out is s:
-            out = dict(s)
-        out[pred] = poly if old is None else old.widen(old.hull(poly))
-    return out
+        if old is None:
+            grown[pred] = poly
+        elif not poly.entails(old):  # else old already covers the contributions
+            grown[pred] = old.widen(old.hull(poly))
+    return {**s, **grown} if grown else s
 
 
 def _false_feasible(s: dict[PredRef, Polyhedron]) -> bool:
