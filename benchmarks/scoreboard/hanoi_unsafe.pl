@@ -1,0 +1,4 @@
+% Unsafe: h(1) = 1 < 2, a tree of dimension 1 whose two children are leaves.
+h(N, M) :- N = 0, M = 0.
+h(N, M) :- N >= 1, N1 = N - 1, h(N1, M1), h(N1, M2), M = M1 + M2 + 1.
+false :- h(N, M), M < 2*N.

@@ -8,7 +8,7 @@ expose the building blocks:
   dimsolve dim <tree-file>            dimension of a dumped derivation tree
 
 Exit codes: 0 solved (or subcommand success), 2 unknown / not solved,
-1 input or usage errors.
+1 input or usage errors, including a tree too deep to recurse over.
 """
 
 from __future__ import annotations
@@ -137,10 +137,12 @@ def _run(args) -> int:
 
     if args.command == "dim":
         try:
-            tree = parse_tree(_read(args.file))
+            depth = dim(parse_tree(_read(args.file)))
         except ValueError as e:
             return _fail(f"{args.file}: {e}")
-        print(dim(tree))
+        except RecursionError:
+            return _fail(f"{args.file}: tree too deep")
+        print(depth)
         return 0
 
     # default: solve
@@ -160,11 +162,14 @@ def _run(args) -> int:
             return _fail("empty program has no trees")
         if root not in {c.head.pred for c in program.clauses}:
             return _fail(f"no clause has head {root}")
-        for i, t in enumerate(enumerate_trees(program, root, args.max_nodes)):
-            if i >= args.dump_trees:
-                break
-            sys.stdout.write(render_tree(t))
-            print(f"# dim={dim(t)} height={height(t)}")
+        try:
+            for i, t in enumerate(enumerate_trees(program, root, args.max_nodes)):
+                if i >= args.dump_trees:
+                    break
+                sys.stdout.write(render_tree(t))
+                print(f"# dim={dim(t)} height={height(t)}")
+        except RecursionError:
+            return _fail(f"{args.file}: tree too deep")
         return 0
     cfg = Config(max_k=args.max_k, timeout_s=args.timeout_s)
     trace = None

@@ -112,16 +112,23 @@ def clause_body(clause: Clause, chosen) -> Polyhedron:
     return Polyhedron(clause.vars(), rows)
 
 
+def _image(clause: Clause, chosen, keep) -> Polyhedron | None:
+    """``clause_body`` projected onto ``keep``; None when it is empty.  The
+    projection is tested rather than the body: it has fewer dimensions, and
+    it is empty exactly when the body is."""
+    image = clause_body(clause, chosen).project(keep)
+    return None if image.is_empty() else image
+
+
 def head_image(clause: Clause, chosen) -> Polyhedron | None:
     """The clause body projected onto the head arguments and renamed to
     ``canonical_params``; None when the body is unsatisfiable."""
-    body = clause_body(clause, chosen)
-    if body.is_empty():
-        return None
     head_vars = [v.name for v in clause.head.args]
+    image = _image(clause, chosen, head_vars)
+    if image is None:
+        return None
     params = canonical_params(len(head_vars))
-    return body.project(head_vars).rename(
-        dict(zip(head_vars, (v.name for v in params))))
+    return image.rename(dict(zip(head_vars, (v.name for v in params))))
 
 
 class SplitBudgetExceeded(ResourceExhausted):
@@ -219,10 +226,8 @@ def linearize(p_next: Program, s: Model) -> Program:
                 keep.append(a)
         used = list(dict.fromkeys(v.name for a in (c.head, *keep) for v in a.args))
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
-            poly = clause_body(c, zip(substitute, (f.constraint for f in choice)))
-            if poly.is_empty():
-                continue
-            projected = poly.project(used).simplify()
-            out.append(Clause(0, c.head, projected.constraints, tuple(keep),
-                              provenance=c.provenance))
+            image = _image(c, zip(substitute, (f.constraint for f in choice)), used)
+            if image is not None:
+                out.append(Clause(0, c.head, image.simplify().constraints, tuple(keep),
+                                  provenance=c.provenance))
     return Program.from_clauses(out)

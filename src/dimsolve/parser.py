@@ -21,13 +21,21 @@ Strict inequalities are tightened for the integer value domain while parsing:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (ATMOST, EXACT, FALSE, FALSE_NAME, Atom, PredRef, Program,
                      Var, normalize_clause)
 from .terms import EQ, LE, Constraint
 
-_SYMBOLS = (":-", "=<", ">=", "(", ")", "[", "]", ",", ".", "=", "<", ">", "+", "-", "*")
+# Symbols longest first, so that ``:-``, ``=<`` and ``>=`` are never split.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|%[^\n]*)
+  | (?P<newline>\n)
+  | (?P<SYM>:-|=<|>=|[()\[\],.=<>+\-*])
+  | (?P<INT>[0-9]+)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+""", re.VERBOSE)
 
 
 class ParseError(ValueError):
@@ -47,48 +55,22 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("SYM", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("INT", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "VAR" if word[0].isupper() else "IDENT"
-                if word[0] == "_":
-                    raise ParseError(f"identifier may not start with '_': {word}", line, col)
-                toks.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word, pos = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "word":
+            if word[0] == "_":
+                raise ParseError(f"identifier may not start with '_': {word}", line, col)
+            toks.append(Token("VAR" if word[0].isupper() else "IDENT", word, line, col))
+        elif kind != "skip":
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("EOF", "", line, pos - line_start + 1))
     return toks
 
 
@@ -116,6 +98,16 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def items(self, item, close=None) -> list:
+        """``item ("," item)*``, or nothing when the next token is ``close``."""
+        if self.peek().text == close:
+            return []
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        return out
+
     # -- clauses ------------------------------------------------------------
 
     def program(self) -> list[tuple]:
@@ -125,84 +117,63 @@ class _Parser:
         return clauses
 
     def clause(self) -> tuple:
-        head_pred, head_args = self.atom(in_head=True)
-        constraints: list[Constraint] = []
-        body: list[Atom] = []
+        head_pred, head_args = self.atom()
+        items = []
         if self.peek().text == ":-":
             self.next()
-            while True:
-                self.item(constraints, body)
-                if self.peek().text == ",":
-                    self.next()
-                else:
-                    break
+            items = self.items(self.item)
         self.expect(".")
-        return head_pred, head_args, constraints, body
+        return (head_pred, head_args, [x for x in items if isinstance(x, Constraint)],
+                [x for x in items if isinstance(x, Atom)])
 
-    def item(self, constraints, body):
-        t = self.peek()
-        if t.kind == "IDENT":
-            pred, args = self.atom(in_head=False)
-            if pred == FALSE:
-                self.error("'false' is reserved for clause heads")
-            # integer arguments stay until normalize_clause replaces them
-            body.append(Atom(pred, tuple(args)))
-        else:
-            constraints.append(self.constraint())
+    def item(self) -> Atom | Constraint:
+        if self.peek().kind != "IDENT":
+            return self.constraint()
+        pred, args = self.atom()
+        if pred == FALSE:
+            self.error("'false' is reserved for clause heads")
+        # integer arguments stay until normalize_clause replaces them
+        return Atom(pred, tuple(args))
 
     # -- atoms --------------------------------------------------------------
 
-    def atom(self, in_head: bool):
+    def atom(self):
         t = self.next()
         if t.kind != "IDENT":
             raise ParseError(f"expected predicate name, found {t.text!r}", t.line, t.col)
         name = t.text
         pred = PredRef(name)
-        args: list = []
         if self.peek().text == "[" and self.peek(1).kind == "INT":
-            self.next()
-            d = int(self.next().text)
-            self.expect("]")
-            pred = PredRef(name, ATMOST, d)
-            args = self.paren_args(optional=name == FALSE_NAME)
+            pred = PredRef(name, ATMOST, self.index("]"))
         elif (self.peek().text == "(" and self.peek(1).kind == "INT"
               and self.peek(2).text == ")"
               and (self.peek(3).text == "(" or name == FALSE_NAME)):
+            pred = PredRef(name, EXACT, self.index(")"))
+        args: list = []
+        if self.peek().text == "(":
             self.next()
-            d = int(self.next().text)
+            args = self.items(self.arg, ")")
             self.expect(")")
-            pred = PredRef(name, EXACT, d)
-            args = self.paren_args(optional=name == FALSE_NAME)
-        elif self.peek().text == "(":
-            args = self.paren_args(optional=False)
-        if pred.base == FALSE_NAME and args:
+        elif pred.indexed and name != FALSE_NAME:
+            self.error("expected argument list")
+        if name == FALSE_NAME and args:
             self.error("'false' takes no arguments")
         return pred, args
 
-    def paren_args(self, optional: bool) -> list:
-        if self.peek().text != "(":
-            if optional:
-                return []
-            self.error("expected argument list")
+    def index(self, close: str) -> int:
         self.next()
-        args: list = []
-        if self.peek().text != ")":
-            while True:
-                t = self.next()
-                if t.kind == "VAR":
-                    args.append(Var(t.text))
-                elif t.kind == "INT":
-                    args.append(int(t.text))
-                else:
-                    raise ParseError(
-                        f"atom arguments must be variables or integers, found {t.text!r}",
-                        t.line, t.col)
-                if self.peek().text == ",":
-                    self.next()
-                else:
-                    break
-        self.expect(")")
-        return args
+        d = int(self.next().text)
+        self.expect(close)
+        return d
+
+    def arg(self) -> Var | int:
+        t = self.next()
+        if t.kind == "VAR":
+            return Var(t.text)
+        if t.kind == "INT":
+            return int(t.text)
+        raise ParseError(f"atom arguments must be variables or integers, found {t.text!r}",
+                         t.line, t.col)
 
     # -- constraints ----------------------------------------------------------
 
@@ -212,21 +183,14 @@ class _Parser:
         if t.text not in ("=", "=<", "<", ">=", ">"):
             raise ParseError(f"expected relation, found {t.text!r}", t.line, t.col)
         rc, rk = self.linexpr()
+        if t.text in (">=", ">"):  # e1 >= e2 is e2 =< e1
+            lc, lk, rc, rk = rc, rk, lc, lk
         diff = dict(lc)
         for v, c in rc.items():
             diff[v] = diff.get(v, 0) - c
-        const = lk - rk
-        if t.text == "=":
-            return Constraint.make(diff, const, EQ)
-        if t.text == "=<":
-            return Constraint.make(diff, const, LE)
-        if t.text == "<":
-            return Constraint.make(diff, const + 1, LE)
-        diff = {v: -c for v, c in diff.items()}
-        const = -const
-        if t.text == ">=":
-            return Constraint.make(diff, const, LE)
-        return Constraint.make(diff, const + 1, LE)  # ">"
+        # e1 < e2 is e1 =< e2 - 1 over the integers
+        const = lk - rk + (t.text in ("<", ">"))
+        return Constraint.make(diff, const, EQ if t.text == "=" else LE)
 
     def linexpr(self) -> tuple[dict[str, int], int]:
         coeffs: dict[str, int] = {}
@@ -267,17 +231,7 @@ class _Parser:
 
 def parse(text: str) -> Program:
     """Parse and normalize a program."""
-    raw = _Parser(text).program()
-    clauses = []
-    for i, (head_pred, head_args, constraints, body) in enumerate(raw):
-        used = {a.name for a in head_args if isinstance(a, Var)}
-        for b in body:
-            used.update(a.name for a in b.args if isinstance(a, Var))
-        for c in constraints:
-            used.update(c.vars())
-        clauses.append(normalize_clause(i + 1, head_pred, head_args, constraints,
-                                        body, used))
-    return Program.from_clauses(clauses)
+    return Program.from_clauses(normalize_clause(*raw) for raw in _Parser(text).program())
 
 
 def parse_model_facts(text: str) -> list[tuple[Atom, list[Constraint]]]:
@@ -285,20 +239,14 @@ def parse_model_facts(text: str) -> list[tuple[Atom, list[Constraint]]]:
     p = _Parser(text)
     facts = []
     while p.peek().kind != "EOF":
-        pred, args = p.atom(in_head=True)
+        pred, args = p.atom()
         if not all(isinstance(a, Var) for a in args):
             p.error("model facts must use variable parameters")
         constraints: list[Constraint] = []
         if p.peek().text == ":-":
             p.next()
             p.expect("[")
-            if p.peek().text != "]":
-                while True:
-                    constraints.append(p.constraint())
-                    if p.peek().text == ",":
-                        p.next()
-                    else:
-                        break
+            constraints = p.items(p.constraint, "]")
             p.expect("]")
         p.expect(".")
         facts.append((Atom(pred, tuple(args)), constraints))

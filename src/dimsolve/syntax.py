@@ -143,9 +143,12 @@ def fresh_names(used: set[str]):
             yield name
 
 
-def normalize_clause(cid, head_pred, head_args, constraints, body, used_names) -> Clause:
-    """Enforce distinct-variable atoms; args may be Var or int literals."""
-    used = set(used_names)
+def normalize_clause(head_pred, head_args, constraints, body) -> Clause:
+    """Enforce distinct-variable atoms; args may be Var or int literals.  The
+    clause id is left 0 for ``Program.from_clauses`` to number."""
+    used = {v for c in constraints for v in c.vars()}
+    used.update(a.name for args in (head_args, *(b.args for b in body))
+                for a in args if isinstance(a, Var))
     fresh = fresh_names(used)
     extra: list[Constraint] = []
 
@@ -168,7 +171,7 @@ def normalize_clause(cid, head_pred, head_args, constraints, body, used_names) -
 
     head = fix(head_pred, head_args)
     atoms = [fix(a.pred, a.args) for a in body]
-    return Clause(cid, head, tuple(constraints) + tuple(extra), tuple(atoms))
+    return Clause(0, head, tuple(constraints) + tuple(extra), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,16 @@ false :- X >= 6, p(X).
 
 
 def false_feasible_without_narrowing(program) -> bool:
-    """Run plain ``step`` rounds until one grows nothing; is ``false`` feasible?"""
+    """Run plain ``step`` rounds until one grows nothing; is ``false`` feasible?
+    A ``step`` that never settles fails the caller after 1 000 rounds, where an
+    unbounded loop would hang the suite."""
     state = {}
-    while True:
+    for _ in range(1000):
         nxt = step(program, state)
         if nxt is state:
             return _false_feasible(state)
         state = nxt
+    raise AssertionError("plain step rounds did not settle within 1 000 rounds")
 
 
 @pytest.fixture

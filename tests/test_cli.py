@@ -87,6 +87,36 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_ascii_digit_exit_one(tmp_path, capsys):
+    f = tmp_path / "square.pl"
+    f.write_text("p(X) :- X = \u00b2.\n", encoding="utf-8")
+    code, out, err = run_cli([str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"dimsolve: {f}: 1:13: unexpected character '\u00b2'\n"
+
+
+CHAIN_SRC = "p(X) :- X = 0.\np(X) :- p(Y), X = Y + 1.\n"
+
+
+def test_deep_tree_dump_exit_one(tmp_path, capsys):
+    f = tmp_path / "chain.pl"
+    f.write_text(CHAIN_SRC)
+    code, out, err = run_cli(["--dump-trees", "1", "--max-nodes", "250", str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"dimsolve: {f}: tree too deep\n"
+
+
+def test_deep_dim_dump_exit_one(tmp_path, capsys):
+    f = tmp_path / "chain-tree.txt"
+    f.write_text("".join("  " * depth + "c2\n" for depth in range(1199)) + "  " * 1199 + "c1\n")
+    code, out, err = run_cli(["dim", str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"dimsolve: {f}: tree too deep\n"
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(["--max-k", "notanumber", "x.pl"], capsys)
     assert code == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dimsolve.parser import ParseError, parse
+from dimsolve.parser import ParseError, Token, parse, tokenize
 from dimsolve.syntax import ArityError, FALSE, PredRef, is_linear, render_program
 from dimsolve.terms import EQ
 
@@ -122,3 +122,36 @@ def test_multiset_alpha_equal_on_renamed(fib):
     renamed = parse(FIB_SRC.replace("A", "P").replace("B", "Q"))
     assert multiset_alpha_equal(fib.clauses, renamed.clauses)
     assert not multiset_alpha_equal(fib.clauses, fib.clauses[:2])
+
+
+def test_token_positions():
+    text = "fib(0)(A, B) :-\tA >= 0. % base\np[1](A)."
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(text)] == [
+        ("IDENT", "fib", 1, 1), ("SYM", "(", 1, 4), ("INT", "0", 1, 5),
+        ("SYM", ")", 1, 6), ("SYM", "(", 1, 7), ("VAR", "A", 1, 8),
+        ("SYM", ",", 1, 9), ("VAR", "B", 1, 11), ("SYM", ")", 1, 12),
+        ("SYM", ":-", 1, 14), ("VAR", "A", 1, 17), ("SYM", ">=", 1, 19),
+        ("INT", "0", 1, 22), ("SYM", ".", 1, 23),
+        ("IDENT", "p", 2, 1), ("SYM", "[", 2, 2), ("INT", "1", 2, 3),
+        ("SYM", "]", 2, 4), ("SYM", "(", 2, 5), ("VAR", "A", 2, 6),
+        ("SYM", ")", 2, 7), ("SYM", ".", 2, 8), ("EOF", "", 2, 9)]
+    # a trailing comment with no newline still advances the EOF column
+    assert tokenize("p. % end")[-1] == Token("EOF", "", 1, 9)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("p(X) :- X = \u00b2.", 13),    # superscript two
+    ("p(X) :- X = \u0663.", 13),    # Arabic-Indic three
+    ("p(X) :- X = 1, caf\u00e9(X).", 19),
+], ids=["superscript-digit", "arabic-digit", "accented-letter"])
+def test_non_ascii_character_rejected(text, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (1, col)
+    assert str(e.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
+
+
+def test_underscore_identifier_rejected():
+    with pytest.raises(ParseError) as e:
+        parse("p(X) :-\n  _q(X).")
+    assert str(e.value) == "2:3: identifier may not start with '_': _q"
