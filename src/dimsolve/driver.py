@@ -22,7 +22,7 @@ of its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kdim import kdim
 from .linear_solver import NoFixpoint, solve_linear
@@ -39,19 +39,17 @@ UNKNOWN_NO_FIXPOINT = NoFixpoint.reason
 UNKNOWN_SPLIT_BUDGET = SplitBudgetExceeded.reason
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     max_k: int = 8
     timeout_s: float | None = None
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "solved" | "unknown"
     model: Model | None
     reason: str = ""
     k_reached: int = 0
-    stats: list[dict] = field(default_factory=list)
+    stats: list[dict] | tuple = ()  # one dict per level
 
     @property
     def solved(self) -> bool:

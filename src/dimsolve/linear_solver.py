@@ -34,15 +34,14 @@ there is one.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params
 
-@dataclass
-class LinearVerdict:
+
+class LinearVerdict(NamedTuple):
     model: Model | None
     reason: str = ""
 
@@ -128,7 +127,8 @@ def solve_linear(p: Program, trace=None) -> LinearVerdict:
             return LinearVerdict(None, "false variant reachable in the abstraction")
         model = _to_model(state)
         if not satisfies_program(model, p):
-            print("warning: fixpoint model failed the clause re-check; "
-                  "reporting NotSolved", file=sys.stderr)
+            if trace:
+                trace("warning: fixpoint model failed the clause re-check; "
+                      "reporting NotSolved")
             return LinearVerdict(None, "soundness gate failed")
         return LinearVerdict(model)

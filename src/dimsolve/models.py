@@ -18,8 +18,8 @@ image of the same combination using the fact that entails it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .polyhedra import Polyhedron, ResourceExhausted
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, Var,
@@ -29,8 +29,7 @@ from .terms import Constraint
 _SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
 
-@dataclass(frozen=True)
-class ConstrainedFact:
+class ConstrainedFact(NamedTuple):
     pred: PredRef
     params: tuple[Var, ...]
     constraint: Polyhedron  # dims are exactly the param names

@@ -22,7 +22,7 @@ Strict inequalities are tightened for the integer value domain while parsing:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (ATMOST, EXACT, FALSE, FALSE_NAME, Atom, PredRef, Program,
                      Var, normalize_clause)
@@ -45,8 +45,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | VAR | INT | SYM | EOF
     text: str
     line: int

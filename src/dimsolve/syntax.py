@@ -10,7 +10,7 @@ produced by the bounding transformation behave like ordinary predicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .terms import EQ, Constraint, Var, render_constraint
 
@@ -20,8 +20,7 @@ ATMOST = "atmost"  # printed name[d]
 FALSE_NAME = "false"
 
 
-@dataclass(frozen=True)
-class PredRef:
+class PredRef(NamedTuple):
     base: str
     kind: str | None = None
     d: int | None = None
@@ -47,8 +46,7 @@ class PredRef:
 FALSE = PredRef(FALSE_NAME)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: PredRef
     args: tuple[Var, ...] = ()
 
@@ -56,14 +54,29 @@ class Atom:
         return render_atom(self)
 
 
-@dataclass(frozen=True)
-class Clause:
-    id: int = field(compare=False)
+def _ne(self, other):
+    return not self == other
+
+
+class Clause(NamedTuple):
+    """Equality and hashing ignore ``id`` and ``provenance``."""
+
+    id: int
     head: Atom
     constraint: tuple[Constraint, ...]
     body: tuple[Atom, ...]
     # transformation bookkeeping: ("rule1"|"rule2a"|"rule2b"|"eps", source id, d)
-    provenance: tuple | None = field(default=None, compare=False, repr=False)
+    provenance: tuple | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Clause:
+            return NotImplemented
+        return self[1:4] == other[1:4]
+
+    __ne__ = _ne
+
+    def __hash__(self):
+        return hash(self[1:4])
 
     @property
     def is_integrity(self) -> bool:
@@ -83,14 +96,25 @@ class Clause:
         return render_clause(self)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
+    """Equality and hashing ignore ``signatures``."""
+
     clauses: tuple[Clause, ...]
-    signatures: dict[PredRef, int] = field(compare=False, hash=False)
+    signatures: dict[PredRef, int]
+
+    def __eq__(self, other):
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    __ne__ = _ne
+
+    def __hash__(self):
+        return hash((self.clauses,))
 
     @staticmethod
     def from_clauses(clauses) -> "Program":
-        clauses = tuple(replace(c, id=i + 1) for i, c in enumerate(clauses))
+        clauses = tuple(c._replace(id=i + 1) for i, c in enumerate(clauses))
         sigs: dict[PredRef, int] = {}
         for c in clauses:
             for a in (c.head, *c.body):
@@ -106,7 +130,7 @@ class Program:
             return Atom(a.pred.erase(), a.args)
 
         return Program.from_clauses(
-            replace(c, head=erase_atom(c.head), body=tuple(erase_atom(a) for a in c.body))
+            c._replace(head=erase_atom(c.head), body=tuple(erase_atom(a) for a in c.body))
             for c in self.clauses)
 
     def __repr__(self):

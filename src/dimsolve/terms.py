@@ -13,7 +13,6 @@ raises ``TypeError``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -25,8 +24,7 @@ LE = "=<"
 LT = "<"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """A program variable; names are uppercase-initial identifiers."""
 
     name: str

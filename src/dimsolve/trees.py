@@ -9,23 +9,21 @@ oracle for the dimension-bounding transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .polyhedra import Polyhedron
 from .syntax import Atom, Clause, PredRef, Program
 from .terms import EQ, Constraint
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A bare labeled tree, for dimension computations on hand-built trees."""
     label: object = None
     children: tuple = ()
 
 
-@dataclass(frozen=True)
-class DerivTree:
+class DerivTree(NamedTuple):
     clause_id: int
     binding: tuple[tuple[str, str], ...]  # clause variable -> instance variable
     children: tuple["DerivTree", ...] = ()

@@ -23,6 +23,16 @@ def test_solves_nonlinear_program(fib, fib_bench):
     assert solve_linear(fib).reason == "false variant reachable in the abstraction"
 
 
+def test_soundness_gate_failure_goes_to_trace(monkeypatch, capsys, fib_bench):
+    monkeypatch.setattr(linear_solver, "satisfies_program", lambda model, p: False)
+    lines = []
+    assert solve_linear(fib_bench, trace=lines.append).reason == "soundness gate failed"
+    assert solve_linear(fib_bench).reason == "soundness gate failed"
+    assert capsys.readouterr().err == ""
+    assert lines[-1] == ("warning: fixpoint model failed the clause re-check; "
+                         "reporting NotSolved")
+
+
 def test_step_from_empty_fires_facts_only(fib):
     k0 = kdim(fib, 0)
     s1 = step(k0, {})
