@@ -42,8 +42,8 @@ that the weaker row's mask would have let through, and ``sat`` can answer
 true for an infeasible system.
 
 Some questions are settled by the rows alone, and then no elimination
-runs.  Each shortcut answers only where Fourier-Motzkin would give the same
-answer:
+runs, or only the memoized ``sat`` of the polyhedron.  Each shortcut answers
+only where Fourier-Motzkin would give the same answer:
 
 - ``entails_constraint`` is true when ``row_entails``: the constraint is a
   row, or it is an inequality and a non-equality row with the same terms
@@ -51,20 +51,26 @@ answer:
   what it dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only
   through ``entails_constraint``, and ``models._covered`` uses the same
   test to split off no pieces for a head row that the region implies;
+- otherwise, by Farkas' lemma (Schrijver, *Theory of Linear and Integer
+  Programming*, 1986), a nonempty polyhedron implies ``c`` only when each
+  variable of ``c`` occurs with its sign in ``c`` in an inequality row or
+  occurs in an equality row (both signs for an equality ``c``).  Where one
+  does not, ``entails_constraint`` answers ``is_empty()``;
 - ``_simplify`` keeps a row unchecked when it mentions a variable that no
   other kept row mentions.  The polyhedron is nonempty, and moving along
   that variable from any point breaks the row and no other, so the others
   cannot imply it.
 
-``sat``, ``project``, ``hull`` and ``simplify`` are pure functions of the
-dimensions and constraints of their operands (a ``Polyhedron`` is
-immutable), so inside a ``memo()`` block each distinct call is computed once
-and its result reused.  The block also holds the solve's deadline, which
-``_eliminate`` checks on entry and once per elimination step, so the
-deadline holds inside a single hull or clause check.  Table and deadline
-live in context variables: nested blocks share them, and the outermost
-block drops both on exit.  Outside a block nothing is stored and no clock
-is read.
+``sat``, ``project``, ``hull``, ``simplify`` and ``rename`` (keyed by the
+old and new dimensions) are pure functions of the dimensions and
+constraints of their operands (a ``Polyhedron`` is immutable), so inside a
+``memo()`` block each distinct call is computed once and its result reused.
+A renamed polyhedron inherits a known ``sat``; a simplified one is
+nonempty.  The block also holds the solve's deadline, which ``_eliminate``
+checks on entry and once per elimination step, so the deadline holds inside
+a single hull or clause check.  Table and deadline live in context
+variables: nested blocks share them, and the outermost block drops both on
+exit.  Outside a block nothing is stored and no clock is read.
 """
 
 from __future__ import annotations
@@ -170,7 +176,8 @@ def _prune(rows):
             # same left-hand side: keep the stronger bound
             if old is None or (const, rel == LT) > (old[1], old[2] == LT):
                 ineqs[lhs] = r
-    return list(eqs.values()) + list(ineqs.values())
+    # each group in the order of its ``Constraint`` tuples
+    return sorted(eqs.values()) + sorted(ineqs.values())
 
 
 def _prune_masked(rows):
@@ -330,6 +337,12 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
             for cs, const, rel, _ in rows]
 
 
+def _check_dims(terms, dims) -> None:
+    bad = {v for v, _ in terms}.difference(dims)
+    if bad:
+        raise DimensionMismatch(f"constraint variables {sorted(bad)} not in dims")
+
+
 class Polyhedron:
     """A conjunction of atomic constraints over an ordered variable tuple."""
 
@@ -342,10 +355,8 @@ class Polyhedron:
             self.constraints = (FALSE_CONSTRAINT,)
             self._sat = False
         else:
-            bad = {v for r in rows for v, _ in r.terms}.difference(self.dims)
-            if bad:
-                raise DimensionMismatch(f"constraint variables {sorted(bad)} not in dims")
-            self.constraints = tuple(sorted(rows, key=_order_key))
+            _check_dims((t for r in rows for t in r.terms), self.dims)
+            self.constraints = tuple(rows)
             self._sat = None
 
     @staticmethod
@@ -368,7 +379,11 @@ class Polyhedron:
         dims = tuple(mapping.get(d, d) for d in self.dims)
         if len(set(dims)) != len(dims):
             raise DimensionMismatch("renaming collapses dimensions")
-        return Polyhedron(dims, (c.rename(mapping) for c in self.constraints))
+        out = _memoized(("rename", self.dims, self.constraints, dims),
+                        lambda: Polyhedron(dims, [c.rename(mapping) for c in self.constraints]))
+        if out._sat is None:
+            out._sat = self._sat
+        return out
 
     def row_entails(self, c: Constraint) -> bool:
         """Whether a single row implies ``c``: ``c`` itself, or for an
@@ -381,8 +396,17 @@ class Polyhedron:
                    for r in self.constraints)
 
     def entails_constraint(self, c: Constraint) -> bool:
-        return self.row_entails(c) or all(
-            self.conjoin([n]).is_empty() for n in c.negations())
+        if self.row_entails(c):
+            return True
+        # Farkas: each term of c needs a row with its sign (module docstring)
+        signs = {(v, s) for r in self.constraints for v, k in r.terms
+                 for s in ((True, False) if r.rel == EQ else (k > 0,))}
+        if all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
+               for v, k in c.terms):
+            return all(self.conjoin([n]).is_empty() for n in c.negations())
+        if self.constraints != (FALSE_CONSTRAINT,):  # bottom takes any c
+            _check_dims(c.terms, self.dims)
+        return self.is_empty()
 
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
@@ -469,13 +493,16 @@ class Polyhedron:
         if self.is_empty():
             return Polyhedron.bottom(self.dims)
         kept = _recombine(self.constraints)
-        for c in sorted(kept, key=_order_key, reverse=True):
+        ineqs = sorted([c for c in kept if c.rel != EQ], reverse=True)
+        for c in ineqs + sorted([c for c in kept if c.rel == EQ], reverse=True):
             rest = [k for k in kept if k != c]
             # a row alone on one of its variables is never implied
             if c.vars() <= {v for k in rest for v, _ in k.terms} and \
                     Polyhedron(self.dims, rest).entails_constraint(c):
                 kept = rest
-        return Polyhedron(self.dims, kept)
+        out = Polyhedron(self.dims, kept)
+        out._sat = True
+        return out
 
     def eval_point(self, point: dict) -> bool:
         return all(c.eval_point(point) for c in self.constraints)
@@ -490,10 +517,6 @@ class Polyhedron:
 
     def __repr__(self):
         return "{" + ",".join(repr(c) for c in self.constraints) + "}"
-
-
-def _order_key(c: Constraint):
-    return (c.rel != EQ, c.terms, c.const, c.rel)
 
 
 def _recombine(constraints) -> list[Constraint]:

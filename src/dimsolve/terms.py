@@ -9,6 +9,10 @@ same ``normal_form``.  The core is integer-only: combinations and
 substitutions take integer weights, so every intermediate coefficient is an
 integer, and ``Constraint.make`` accepts integers only (a ``Fraction``
 raises ``TypeError``).
+
+``Constraint.rename`` and ``negations`` skip the gcd: negating every number
+keeps it, and so does an injective renaming, which adds no two
+coefficients; a renamed equality may only need its signs flipped.
 """
 
 from __future__ import annotations
@@ -74,17 +78,16 @@ class Constraint(NamedTuple):
 
     def negations(self) -> list["Constraint"]:
         """Constraints whose disjunction is the complement of this one."""
-        neg = {v: -c for v, c in self.terms}
-        if self.rel == EQ:
-            return [Constraint.make(neg, -self.const, LT),
-                    Constraint.make(dict(self.terms), self.const, LT)]
-        if self.rel == LE:
-            return [Constraint.make(neg, -self.const, LT)]
-        return [Constraint.make(neg, -self.const, LE)]
+        neg = Constraint(tuple([(v, -c) for v, c in self.terms]), -self.const,
+                         LE if self.rel == LT else LT)
+        return [neg, Constraint(self.terms, self.const, LT)] if self.rel == EQ else [neg]
 
     def rename(self, mapping: dict[str, str]) -> "Constraint":
-        return Constraint.make({mapping.get(v, v): c for v, c in self.terms},
-                               self.const, self.rel)
+        """The row over ``mapping``'s names; ``mapping`` is injective on it."""
+        terms = sorted([(mapping.get(v, v), c) for v, c in self.terms])
+        if self.rel == EQ and terms and terms[0][1] < 0:
+            return Constraint(tuple([(v, -c) for v, c in terms]), -self.const, EQ)
+        return Constraint(tuple(terms), self.const, self.rel)
 
     def eval_point(self, point: dict) -> bool:
         val = self.const + sum(c * point[v] for v, c in self.terms)

@@ -17,6 +17,7 @@ from dimsolve.polyhedra import Polyhedron, RowCapExceeded, memo
 from conftest import C, poly, random_poly, random_program
 
 DIMS = ("A", "B", "C")
+SWAP = {"A": "X", "C": "A"}  # reorders the names of a row
 
 
 def _outcome(p, cfg):
@@ -45,7 +46,7 @@ def _ops(a, b):
     """Every memoized operation on a pair, or the exception type it raised."""
     out = []
     for op in (lambda: a.sat(), lambda: a.project(("A", "C")), lambda: a.project(("B",)),
-               lambda: a.hull(b), lambda: a.simplify()):
+               lambda: a.hull(b), lambda: a.simplify(), lambda: a.rename(SWAP)):
         try:
             out.append(op())
         except RowCapExceeded as e:
@@ -69,6 +70,23 @@ def test_memoized_operations_equal_computed_ones():
             second = _ops(_fresh(a), _fresh(b))
             assert len(table) == stored  # the second round only reads
         assert computed == first == second
+
+
+def test_inherited_sat_equals_a_fresh_sat():
+    rng = random.Random(17)
+    known = 0
+    for _ in range(80):
+        a = random_poly(rng, DIMS, rng.randint(1, 5))
+        for block in (contextlib.nullcontext, memo):
+            with block():
+                p = _fresh(a)
+                unknown = p.rename(SWAP)  # before ``sat``: nothing to inherit
+                p.sat()
+                for q in (unknown, p.rename(SWAP), _fresh(a).simplify()):
+                    if q._sat is not None:
+                        known += 1
+                        assert q._sat == _fresh(q).sat(), (a, q)
+    assert known > 300
 
 
 def test_no_table_after_solve(fib_bench, monkeypatch):

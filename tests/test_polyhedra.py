@@ -94,6 +94,38 @@ def test_entails_dimension_mismatch():
         poly(("A",), C({"A": 1}, 0)).entails(poly(("Z",), C({"Z": 1}, 0)))
 
 
+def test_entails_constraint_equals_elimination():
+    # the sign test answers "not entailed" on a nonempty polyhedron only where
+    # the elimination over the negations does
+    rng = random.Random(71)
+    dims = ("x", "y", "z")
+    polys = [Polyhedron.bottom(dims), poly(dims, C({"x": -1}, 1), C({"x": 1}, 0))]
+    polys += [random_poly(rng, dims, rng.randint(1, 5)) for _ in range(250)]
+    assert sum(any(r.rel == LT for r in p.constraints) for p in polys) > 50
+    rows = [r for p in polys for r in p.constraints if r.terms]
+    counts = {True: 0, False: 0}
+    for p in polys:
+        cands = rng.sample(rows, 6) + [random_constraint(rng, dims) for _ in range(6)]
+        cands += [C(dict(r.terms), r.const + d, rel) for r in p.constraints
+                  for d in (-1, 1) for rel in (EQ, LE, LT)]
+        for c in cands:
+            # fresh operands, so that no cached ``sat`` answers
+            got = Polyhedron(dims, p.constraints).entails_constraint(c)
+            assert got == _fm_entails(Polyhedron(dims, p.constraints), c), (p, c)
+            counts[got] += 1
+    assert min(counts.values()) > 500
+
+
+def test_entails_constraint_outside_the_dimensions():
+    c = C({"Z": 1}, 0)
+    nonempty = poly(("A",), C({"A": 1}, 0))
+    empty = poly(("A",), C({"A": -1}, 1), C({"A": 1}, 0))  # 1 =< A =< 0, not by prune
+    for p in (nonempty, empty):
+        with pytest.raises(DimensionMismatch, match=r"\['Z'\] not in dims"):
+            p.entails_constraint(c)
+    assert Polyhedron.bottom(("A",)).entails_constraint(c)
+
+
 def test_entails_is_emptiness_or_each_row():
     rng = random.Random(67)
     dims = ("A", "B")
@@ -322,6 +354,24 @@ def test_prune_trivial_and_contradiction():
     for contradiction in (C({}, 1, EQ), C({}, 1), C({}, 0, LT)):
         q = poly(("A",), a, contradiction, *trivial)
         assert q == Polyhedron.bottom(("A",)) and q._sat is False
+
+
+def _order_key(c):
+    """The order ``Polyhedron`` kept its rows in by a key function: equalities
+    first, then by terms, constant and relation."""
+    return (c.rel != EQ, c.terms, c.const, c.rel)
+
+
+_ROWS = st.lists(st.builds(
+    C, st.dictionaries(st.sampled_from("ABC"), st.integers(-3, 3), max_size=3),
+    st.integers(-3, 3), st.sampled_from([EQ, LE, LT])), max_size=8)
+
+
+@given(_ROWS)
+def test_rows_sorted_as_by_the_reference_key(rows):
+    rows = [r for r in rows if r.terms]  # no contradiction, so no bottom
+    want = _reference_prune(rows)
+    assert Polyhedron("ABC", rows).constraints == tuple(sorted(want, key=_order_key))
 
 
 # --- grid agreement (one direction: integer point found => sat) ---------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dimsolve.terms import EQ, LE, LT, Constraint, linear_combination, render_constraint
 
@@ -101,6 +101,22 @@ def test_negation_involution_le(coeffs, const):
     (n,) = c.negations()
     (back,) = n.negations()
     assert back == c
+
+
+@given(st.dictionaries(st.sampled_from("ABCD"), coeff, max_size=4), coeff,
+       st.sampled_from([EQ, LE, LT]), st.permutations("ABCDEFG"), st.integers(0, 4))
+def test_rename_and_negations_equal_make(coeffs, const, rel, names, n):
+    c = Constraint.make(coeffs, const, rel)
+    mapping = dict(zip("ABCD"[:n], names))  # the names past n keep their own
+    renamed = [mapping.get(v, v) for v, _ in c.terms]
+    assume(len(set(renamed)) == len(renamed))  # injective on the row
+    assert c.rename(mapping) == Constraint.make(
+        {mapping.get(v, v): k for v, k in c.terms}, c.const, c.rel)
+    neg = {v: -k for v, k in c.terms}
+    want = [Constraint.make(neg, -c.const, LE if rel == LT else LT)]
+    if rel == EQ:
+        want.append(Constraint.make(dict(c.terms), c.const, LT))
+    assert c.negations() == want
 
 
 def test_linear_combination():
