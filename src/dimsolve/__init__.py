@@ -17,8 +17,18 @@ from .polyhedra import DimensionMismatch, Polyhedron
 from .syntax import (Atom, Clause, PredRef, Program, Var, is_linear,
                      render_program)
 from .terms import Constraint
-from .trees import (DerivTree, Node, dim, enumerate_trees, height,
-                    render_tree, tree_constraint)
+
+# parse and solve never need the derivation trees, so ``trees`` loads on
+# first use of one of its names (PEP 562)
+_TREES = {"DerivTree", "Node", "dim", "enumerate_trees", "height",
+          "render_tree", "tree_constraint"}
+
+
+def __getattr__(name):
+    if name in _TREES:
+        from . import trees
+        return getattr(trees, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Atom", "Clause", "Config", "Constraint", "ConstrainedFact", "DerivTree",

@@ -12,19 +12,24 @@ NotSolved if that fails.  Narrowing is deliberately *not* run when the
 false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
-A round skips a contribution that the predicate's polyhedron already holds
-and otherwise takes the hull.  The hull holds the contribution, so it is
-inside the old polyhedron only when the contribution is: one ``entails``
-test before the hull decides whether the predicate grows.  A round in which
-no predicate grows returns its input state, and that ends the ascent.  The
-descending rounds start from that post-fixpoint and, the contributions being
-monotone, only shrink; they end at the first round that shrinks nothing.
+A round collects each predicate's clause images and builds their hull
+chain only when the predicate grows.  The hull holds each image, and a
+closed polyhedron holds the hull exactly when it holds each image, so one
+``entails`` test per image against the old polyhedron decides growth with
+no hull.  The hull closes strict rows, so while the old polyhedron has a
+strict row (only a program built through the API gives one) the round
+builds the hull first and tests that.  A round in which no predicate grows
+returns its input state, and that ends the ascent.  The descending rounds
+(``_contributions``) build every predicate's hull chain; they start from
+that post-fixpoint and, the contributions being monotone, only shrink; they
+end at the first round that shrinks nothing.
 
 No stored interpretation is empty, so no round tests one for emptiness:
-``head_image`` gives None for an unsatisfiable body, and hulls and widenings
-of nonempty polyhedra are nonempty.  So a ``false`` variant is feasible
-exactly when it has an interpretation; were an empty one stored, the engine
-would err toward NotSolved, never toward a wrong Solved.
+``head_image`` gives None for an unsatisfiable body, and hulls and
+widenings of nonempty polyhedra are nonempty, and start with ``sat`` known
+true.  So a ``false`` variant is feasible exactly when it has an
+interpretation; were an empty one stored, the engine would err toward
+NotSolved, never toward a wrong Solved.
 
 Every Solved model is re-verified against the input clauses before being
 returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
@@ -39,6 +44,7 @@ from typing import NamedTuple
 from .models import ConstrainedFact, Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program, canonical_params
+from .terms import LT
 
 
 class LinearVerdict(NamedTuple):
@@ -55,32 +61,49 @@ class NoFixpoint(ResourceExhausted):
     reason = "no-fixpoint"
 
 
-def _contributions(p: Program,
-                   s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
-    """One synchronous evaluation of all clauses against the current state."""
-    new: dict[PredRef, Polyhedron] = {}
+def _images(p: Program,
+            s: dict[PredRef, Polyhedron]) -> dict[PredRef, list[Polyhedron]]:
+    """Each head's nonempty clause images under the current state, in clause
+    order."""
+    images: dict[PredRef, list[Polyhedron]] = {}
     for c in p.clauses:
         interps = [s.get(atom.pred) for atom in c.body]
         if any(i is None for i in interps):
             continue
         poly = head_image(c, zip(c.body, interps))
-        if poly is None:
-            continue
-        old = new.get(c.head.pred)
-        new[c.head.pred] = poly if old is None else old.hull(poly)
-    return new
+        if poly is not None:
+            images.setdefault(c.head.pred, []).append(poly)
+    return images
+
+
+def _join(polys: list[Polyhedron]) -> Polyhedron:
+    """The hull chain of ``polys``, left to right."""
+    out = polys[0]
+    for poly in polys[1:]:
+        out = out.hull(poly)
+    return out
+
+
+def _contributions(p: Program,
+                   s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
+    """One synchronous evaluation of all clauses against the current state."""
+    return {pred: _join(polys) for pred, polys in _images(p, s).items()}
 
 
 def step(p: Program, s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
     """One Kleene round: take a predicate's first contribution as it is and
     widen every later growth.  Returns ``s`` itself when nothing grows."""
     grown: dict[PredRef, Polyhedron] = {}
-    for pred, poly in _contributions(p, s).items():
+    for pred, polys in _images(p, s).items():
         old = s.get(pred)
         if old is None:
-            grown[pred] = poly
-        elif not poly.entails(old):  # else old already covers the contributions
-            grown[pred] = old.widen(old.hull(poly))
+            grown[pred] = _join(polys)
+            continue
+        # a closed ``old`` holds the hull exactly when it holds each image;
+        # the hull closes strict rows, so a strict ``old`` tests the hull
+        tested = [_join(polys)] if any(r.rel == LT for r in old.constraints) else polys
+        if not all(poly.entails(old) for poly in tested):
+            grown[pred] = old.widen(old.hull(_join(polys)))
     return {**s, **grown} if grown else s
 
 

@@ -61,14 +61,25 @@ only where Fourier-Motzkin would give the same answer:
   that variable from any point breaks the row and no other, so the others
   cannot imply it.
 
+A polyhedron that contains a nonempty one is nonempty, so five
+constructions start with ``sat`` known true: the hull's lifted result (both
+operands are nonempty by then, and it holds both); widening's kept rows
+(they hold ``other``) and each swapped row set (it holds ``self``, which
+implies the row swapped in); each row subset ``_simplify`` tests a row
+against (it holds ``self``); and the projection of a polyhedron known
+nonempty.  On these, ``_simplify``'s opening emptiness test and the
+``is_empty()`` of ``entails_constraint`` after a failed sign test run no
+elimination.
+
 ``sat``, ``project``, ``hull``, ``simplify`` and ``rename`` (keyed by the
 old and new dimensions) are pure functions of the dimensions and
 constraints of their operands (a ``Polyhedron`` is immutable), so inside a
 ``memo()`` block each distinct call is computed once and its result reused.
 A renamed polyhedron inherits a known ``sat``; a simplified one is
-nonempty.  The block also holds the solve's deadline, which ``_eliminate``
-checks on entry and once per elimination step, so the deadline holds inside
-a single hull or clause check.  Table and deadline live in context
+nonempty.  ``simplify`` is idempotent, so its result is also stored as its
+own simplification.  The block also holds the solve's deadline, which
+``_eliminate`` checks on entry and once per elimination step, so the
+deadline holds inside a single hull or clause check.  Table and deadline live in context
 variables: nested blocks share them, and the outermost block drops both on
 exit.  Outside a block nothing is stored and no clock is read.
 """
@@ -337,6 +348,14 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
             for cs, const, rel, _ in rows]
 
 
+def _nonempty(dims, rows) -> "Polyhedron":
+    """``Polyhedron(dims, rows)`` for rows that hold of some point, with
+    ``sat`` known to be true."""
+    out = Polyhedron(dims, rows)
+    out._sat = True
+    return out
+
+
 def _check_dims(terms, dims) -> None:
     bad = {v for v, _ in terms}.difference(dims)
     if bad:
@@ -417,8 +436,11 @@ class Polyhedron:
         keep = tuple(keep)
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
-        return _memoized(("project", self.dims, self.constraints, keep),
-                         lambda: self._project(keep))
+        out = _memoized(("project", self.dims, self.constraints, keep),
+                        lambda: self._project(keep))
+        if out._sat is None and self._sat:
+            out._sat = True
+        return out
 
     def _project(self, keep: tuple) -> "Polyhedron":
         rows = _eliminate(list(self.constraints), set(self.dims) - set(keep))
@@ -455,7 +477,7 @@ class Polyhedron:
         out = _eliminate(rows, set(y.values()) | set(z.values()) | {s1, s2})
         if out is None:
             return Polyhedron.bottom(self.dims)
-        return Polyhedron(self.dims, out).simplify()
+        return _nonempty(self.dims, out).simplify()
 
     def widen(self, other: "Polyhedron") -> "Polyhedron":
         """The standard widening with its refinement, over the rows ``cs1``
@@ -481,10 +503,10 @@ class Polyhedron:
                 continue
             for a in cs1:
                 swapped = [x for x in cs1 if x != a] + [b]
-                if Polyhedron(self.dims, swapped).entails_constraint(a):
+                if _nonempty(self.dims, swapped).entails_constraint(a):
                     kept.append(b)
                     break
-        return Polyhedron(self.dims, kept).simplify()
+        return _nonempty(self.dims, kept).simplify()
 
     def simplify(self) -> "Polyhedron":
         return _memoized(("simplify", self.dims, self.constraints), self._simplify)
@@ -498,11 +520,11 @@ class Polyhedron:
             rest = [k for k in kept if k != c]
             # a row alone on one of its variables is never implied
             if c.vars() <= {v for k in rest for v, _ in k.terms} and \
-                    Polyhedron(self.dims, rest).entails_constraint(c):
+                    _nonempty(self.dims, rest).entails_constraint(c):
                 kept = rest
-        out = Polyhedron(self.dims, kept)
-        out._sat = True
-        return out
+        out = _nonempty(self.dims, kept)
+        # simplifying ``out`` again gives ``out``
+        return _memoized(("simplify", out.dims, out.constraints), lambda: out)
 
     def eval_point(self, point: dict) -> bool:
         return all(c.eval_point(point) for c in self.constraints)

@@ -3,10 +3,12 @@ import random
 from dimsolve import linear_solver
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear, step
-from dimsolve.models import Model, linearize, satisfies_program, violations
+from dimsolve.models import (Model, head_image, linearize, satisfies_program,
+                             violations)
 from dimsolve.parser import parse
-from dimsolve.syntax import ATMOST, EXACT, PredRef
-from dimsolve.terms import EQ
+from dimsolve.polyhedra import Polyhedron
+from dimsolve.syntax import ATMOST, EXACT, Atom, Clause, PredRef, Program, Var
+from dimsolve.terms import EQ, LT
 
 from conftest import (GRAZE_SRC, C, false_feasible_without_narrowing, poly,
                       random_program)
@@ -161,22 +163,105 @@ def _solve_levels(programs) -> set[bool]:
 
 def test_no_interpretation_is_empty(monkeypatch, fib, tree3):
     # the rounds never test an interpretation for emptiness; this holds
-    # them to it, in the ascending rounds (``step``) and the narrowing
-    # rounds (``_contributions``), on kdim levels 0-2 linearized
+    # them to it, in the ascending rounds (``step``, and the joins it
+    # builds) and the narrowing rounds (``_contributions``), on kdim levels
+    # 0-2 linearized.  A fresh copy is tested, so no carried ``sat`` answers
     calls = {"step": 0, "_contributions": 0}
+
+    def empty(poly):
+        return Polyhedron(poly.dims, poly.constraints).is_empty()
 
     def nonempty(name, fn):
         def wrapped(p, s):
             out = fn(p, s)
             calls[name] += 1
-            assert not any(poly.is_empty() for poly in out.values())
+            assert not any(empty(poly) for poly in out.values())
             return out
         return wrapped
+
+    def checked_join(polys, join=linear_solver._join):
+        out = join(polys)
+        assert not empty(out)
+        return out
     monkeypatch.setattr(linear_solver, "step", nonempty("step", linear_solver.step))
     monkeypatch.setattr(linear_solver, "_contributions", nonempty(
         "_contributions", linear_solver._contributions))
+    monkeypatch.setattr(linear_solver, "_join", checked_join)
     assert _solve_levels(_level_programs(fib, tree3)) == {True, False}
-    assert calls["step"] > 0 and calls["_contributions"] > calls["step"]
+    assert calls["step"] > 0 and calls["_contributions"] > 0
+
+
+def _reference_step(p, s):
+    """``step`` as a join of every predicate's images, then one ``entails``
+    test of the join against the old polyhedron."""
+    joins = {}
+    for c in p.clauses:
+        interps = [s.get(atom.pred) for atom in c.body]
+        if any(i is None for i in interps):
+            continue
+        poly = head_image(c, zip(c.body, interps))
+        if poly is None:
+            continue
+        old = joins.get(c.head.pred)
+        joins[c.head.pred] = poly if old is None else old.hull(poly)
+    grown = {}
+    for pred, poly in joins.items():
+        old = s.get(pred)
+        if old is None:
+            grown[pred] = poly
+        elif not poly.entails(old):
+            grown[pred] = old.widen(old.hull(poly))
+    return {**s, **grown} if grown else s
+
+
+def _compared_step(monkeypatch):
+    """Patch ``step`` to check every round against ``_reference_step``;
+    the number of rounds checked."""
+    rounds = [0]
+
+    def compared(p, s, step=linear_solver.step):
+        out = step(p, s)
+        want = _reference_step(p, s)
+        assert out == want and (out is s) == (want is s)
+        rounds[0] += 1
+        return out
+    monkeypatch.setattr(linear_solver, "step", compared)
+    return rounds
+
+
+def test_step_matches_the_reference_join_and_test(monkeypatch, fib, tree3):
+    # ``step`` builds a predicate's join only when some image leaves the
+    # old polyhedron; it must grow what the join-then-test round grows,
+    # row for row, in every round
+    rounds = _compared_step(monkeypatch)
+    assert _solve_levels(_level_programs(fib, tree3)) == {True, False}
+    assert rounds[0] > 100
+
+
+def _strict_program():
+    # p(A, B) :- A >= 0, A < 1, B = 0.   p(A, B) :- p(A1, B1), A = A1, B = B1.
+    # The parser turns ``A < 1`` into ``A =< 0``; only the API keeps it strict
+    p = PredRef("p")
+    head = Atom(p, (Var("A"), Var("B")))
+    base = Clause(0, head, (C({"A": -1}, 0), C({"A": 1}, -1, LT), C({"B": 1}, 0, EQ)), ())
+    rec = Clause(0, head, (C({"A": 1, "A1": -1}, 0, EQ), C({"B": 1, "B1": -1}, 0, EQ)),
+                 (Atom(p, (Var("A1"), Var("B1"))),))
+    return Program.from_clauses([base, rec])
+
+
+def test_strict_row_grows_through_its_closed_hull(monkeypatch):
+    # both images equal the strict polyhedron, but their hull closes A < 1
+    # to A =< 1 and leaves it, so the round widens the strict row away
+    program = _strict_program()
+    p = PredRef("p")
+    rounds = _compared_step(monkeypatch)
+    first = linear_solver.step(program, {})
+    assert first[p] == poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1, LT),
+                            C({"B": 1}, 0, EQ))
+    second = linear_solver.step(program, first)
+    assert second[p] == poly(("A", "B"), C({"A": -1}, 0), C({"B": 1}, 0, EQ))
+    assert linear_solver.step(program, second) is second
+    assert rounds[0] == 3
 
 
 def test_narrowing_rounds_only_shrink(monkeypatch, fib, tree3):

@@ -89,6 +89,20 @@ def test_inherited_sat_equals_a_fresh_sat():
     assert known > 300
 
 
+def test_simplify_is_its_own_fixed_point():
+    # a simplified polyhedron simplifies to itself, so ``simplify`` stores
+    # its result under the result's own key too
+    rng = random.Random(53)
+    for _ in range(100):
+        a = random_poly(rng, DIMS, rng.randint(1, 6))
+        s = _fresh(a).simplify()
+        assert _fresh(s).simplify() == s, a
+        with memo() as table:
+            got = _fresh(a).simplify()
+            assert table.get(("simplify", got.dims, got.constraints)) is got or got.is_empty()
+            assert _fresh(got).simplify() is got or got.is_empty()
+
+
 def test_no_table_after_solve(fib_bench, monkeypatch):
     assert solve(fib_bench).solved
     assert polyhedra._MEMO.get() is None
@@ -113,11 +127,11 @@ def test_raised_operation_stores_nothing(monkeypatch):
         with pytest.raises(RowCapExceeded):
             box.sat()
         assert table == {}
-    # both sides are decided by substitution alone, but the hull's simplify
-    # needs an elimination step and raises
-    a = poly(("A",), C({"A": 1}, 0, "="))
-    b = poly(("A",), C({"A": 1}, -1, "="))
+    # each side's ``sat`` eliminates A without combining a row, but the
+    # hull's lifted elimination combines rows and raises
+    a = poly(("A",), C({"A": -1}, 0))  # A >= 0
+    b = poly(("A",), C({"A": -1}, 1))  # A >= 1
     with memo() as table:
         with pytest.raises(RowCapExceeded):
             a.hull(b)
-        assert {key[0] for key in table} <= {"sat", "project"}
+        assert {key[0] for key in table} == {"sat"}

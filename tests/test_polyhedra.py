@@ -1,8 +1,10 @@
 """Engine unit tests: frozen expected values were computed with the integer
 grid / generator oracles that also run in the randomized suites below."""
 
+import contextlib
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -344,6 +346,37 @@ def test_simplify_equivalence_random():
         for c in s.constraints:
             rest = Polyhedron(dims, [k for k in s.constraints if k != c])
             assert not _fm_entails(rest, c)
+
+
+def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
+    # each construction that starts with ``sat`` true contains a nonempty
+    # polyhedron: the hull's lifted result, widening's kept rows and each
+    # swapped row set, simplify's row subsets, and the projection of a
+    # polyhedron known nonempty.  Elimination must find a point in each
+    marked = []
+    nonempty = polyhedra._nonempty
+
+    def recording(dims, rows):
+        out = nonempty(dims, rows)
+        marked.append((sys._getframe(1).f_code.co_name, out))
+        return out
+    monkeypatch.setattr(polyhedra, "_nonempty", recording)
+    rng = random.Random(37)
+    dims = ("x", "y", "z")
+    for i in range(300):
+        a, b = random_poly(rng, dims), random_poly(rng, dims)
+        if a.is_empty() or b.is_empty():
+            continue
+        with memo() if i % 2 else contextlib.nullcontext():
+            h = a.hull(b)
+            a.widen(h)
+            b.widen(a)
+            marked.append(("project", a.project(("x", "z"))))
+    assert {where for where, _ in marked} == {"_hull", "widen", "_simplify", "project"}
+    assert len(marked) > 1000
+    for where, q in marked:
+        assert q._sat is True, where
+        assert polyhedra._eliminate(list(q.constraints), set(q.dims)) is not None, (where, q)
 
 
 def test_prune_trivial_and_contradiction():
