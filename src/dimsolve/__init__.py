@@ -10,8 +10,8 @@ dimension level until a solution is found or resources run out.
 from .driver import Config, SolveOutcome, solve
 from .kdim import clause_count, kdim
 from .linear_solver import LinearVerdict, solve_linear, step
-from .models import (ConstrainedFact, Model, inductive, linearize,
-                     satisfies_clause, satisfies_program, violations)
+from .models import (Model, inductive, linearize, satisfies_clause,
+                     satisfies_program, violations)
 from .parser import ParseError, parse
 from .polyhedra import DimensionMismatch, Polyhedron
 from .syntax import (Atom, Clause, PredRef, Program, Var, is_linear,
@@ -31,7 +31,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "Atom", "Clause", "Config", "Constraint", "ConstrainedFact", "DerivTree",
+    "Atom", "Clause", "Config", "Constraint", "DerivTree",
     "DimensionMismatch", "LinearVerdict",
     "Model", "Node", "ParseError", "Polyhedron", "PredRef", "Program",
     "SolveOutcome", "Var", "clause_count", "dim", "enumerate_trees",

@@ -23,7 +23,7 @@ from .linear_solver import solve_linear
 from .parser import ParseError, parse
 from .polyhedra import ResourceExhausted
 from .syntax import ATMOST, EXACT, ArityError, PredRef, render_program
-from .trees import dim, enumerate_trees, height, parse_tree, render_tree
+# ``trees`` is imported by the branches that use it: a solve never loads it
 
 _SUBCOMMANDS = ("solve", "kdim", "solve-linear", "dim")
 
@@ -136,6 +136,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "dim":
+        from .trees import dim, parse_tree
         try:
             depth = dim(parse_tree(_read(args.file)))
         except ValueError as e:
@@ -156,6 +157,7 @@ def _run(args) -> int:
         return _fail("--timeout-s must be a nonnegative number")
     program = _parse_program(args.file)
     if args.dump_trees is not None:
+        from .trees import dim, enumerate_trees, height, render_tree
         root = (_parse_predref(args.root) if args.root
                 else program.clauses[0].head.pred if program.clauses else None)
         if root is None:

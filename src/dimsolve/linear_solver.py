@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .models import ConstrainedFact, Model, head_image, satisfies_program
+from .models import Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
-from .syntax import FALSE_NAME, PredRef, Program, canonical_params
+from .syntax import FALSE_NAME, PredRef, Program
 from .terms import LT
 
 
@@ -111,15 +111,6 @@ def _false_feasible(s: dict[PredRef, Polyhedron]) -> bool:
     return any(pred.base == FALSE_NAME for pred in s)
 
 
-def _to_model(s: dict[PredRef, Polyhedron]) -> Model:
-    m = Model()
-    for pred, poly in s.items():
-        if pred.base == FALSE_NAME:
-            continue
-        m.add(ConstrainedFact(pred, canonical_params(len(poly.dims)), poly))
-    return m
-
-
 def solve_linear(p: Program, trace=None) -> LinearVerdict:
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
@@ -148,7 +139,9 @@ def solve_linear(p: Program, trace=None) -> LinearVerdict:
                 trace(f"narrowing ran {i + 1} descending rounds")
         if _false_feasible(state):
             return LinearVerdict(None, "false variant reachable in the abstraction")
-        model = _to_model(state)
+        model = Model()
+        for pred, poly in state.items():
+            model.add(pred, poly)
         if not satisfies_program(model, p):
             if trace:
                 trace("warning: fixpoint model failed the clause re-check; "

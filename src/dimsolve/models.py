@@ -1,7 +1,9 @@
 """Models as finite disjunctions of constrained facts.
 
-A model maps each predicate to a list of constrained facts (a disjunction);
-predicates absent from the map denote the empty interpretation, and the
+A model maps each predicate to a list of constrained facts (a disjunction).
+A fact is one ``Polyhedron`` over the canonical parameters ``A, B, ...``:
+argument i of the predicate is the polyhedron's i-th dimension.
+Predicates absent from the map denote the empty interpretation, and the
 reserved ``false`` is always interpreted as empty.  Clause satisfaction is
 decided exactly over the rationals: for every choice of one disjunct per body
 atom, the body's image in the head arguments must be covered by the
@@ -19,65 +21,55 @@ image of the same combination using the fact that entails it.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
 
 from .polyhedra import Polyhedron, ResourceExhausted
-from .syntax import (Atom, Clause, FALSE, PredRef, Program, Var,
-                     canonical_params, render_atom)
+from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
+                     render_atom)
 from .terms import Constraint
 
 _SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
 
-class ConstrainedFact(NamedTuple):
-    pred: PredRef
-    params: tuple[Var, ...]
-    constraint: Polyhedron  # dims are exactly the param names
-
-    def __repr__(self):
-        body = ",".join(repr(c) for c in self.constraint.constraints)
-        return f"{render_atom(Atom(self.pred, self.params))} :- [{body}]."
-
-
 class Model:
-    """Finite disjunctions of constrained facts per predicate."""
+    """Finite disjunctions of constrained facts per predicate; each fact is
+    a ``Polyhedron`` whose dims are ``canonical_params`` of its arity."""
 
-    def __init__(self, facts=()):
-        self.facts: dict[PredRef, list[ConstrainedFact]] = {}
-        for f in facts:
-            self.add(f)
+    def __init__(self):
+        self.facts: dict[PredRef, list[Polyhedron]] = {}
 
-    def add(self, fact: ConstrainedFact):
-        params = canonical_params(len(fact.params))
-        poly = fact.constraint.rename(
-            {p.name: a.name for p, a in zip(fact.params, params)}).simplify()
+    def add(self, pred: PredRef, poly: Polyhedron):
+        """Add the fact of ``pred`` whose argument i is ``poly.dims[i]``,
+        renamed onto the canonical parameters and simplified; an empty or
+        already known fact is dropped."""
+        params = canonical_params(len(poly.dims))
+        poly = poly.rename({d: a.name for d, a in zip(poly.dims, params)}).simplify()
         if poly.is_empty():
             return
-        norm = ConstrainedFact(fact.pred, params, poly)
-        known = self.facts.setdefault(fact.pred, [])
-        if norm not in known:
-            known.append(norm)
+        known = self.facts.setdefault(pred, [])
+        if poly not in known:
+            known.append(poly)
 
-    def facts_for(self, pred: PredRef) -> list[ConstrainedFact]:
+    def facts_for(self, pred: PredRef) -> list[Polyhedron]:
         if pred == FALSE:
             return []  # false is always interpreted as empty
         return self.facts.get(pred, [])
 
     def erase_indices(self) -> "Model":
         m = Model()
-        for fs in self.facts.values():
-            for f in fs:
-                m.add(ConstrainedFact(f.pred.erase(), f.params, f.constraint))
+        for pred, polys in self.facts.items():
+            for poly in polys:
+                m.add(pred.erase(), poly)
         return m
 
-    def all_facts(self) -> list[ConstrainedFact]:
-        def key(f: ConstrainedFact):
-            p = f.pred
-            return (p.base, p.d if p.d is not None else -1, p.kind or "", repr(f))
-        return sorted((f for fs in self.facts.values() for f in fs), key=key)
-
     def render(self) -> str:
-        return "".join(repr(f) + "\n" for f in self.all_facts())
+        keyed = []
+        for p, polys in self.facts.items():
+            for poly in polys:
+                atom = render_atom(Atom(p, canonical_params(len(poly.dims))))
+                body = ",".join(repr(c) for c in poly.constraints)
+                keyed.append((p.base, p.d if p.d is not None else -1, p.kind or "",
+                              f"{atom} :- [{body}]."))
+        return "".join(key[-1] + "\n" for key in sorted(keyed))
 
     def __eq__(self, other):
         return isinstance(other, Model) and {
@@ -92,9 +84,7 @@ class Model:
         from .parser import parse_model_facts
         m = Model()
         for atom, constraints in parse_model_facts(text):
-            params = tuple(v.name for v in atom.args)
-            poly = Polyhedron(params, constraints)
-            m.add(ConstrainedFact(atom.pred, atom.args, poly))
+            m.add(atom.pred, Polyhedron(tuple(v.name for v in atom.args), constraints))
         return m
 
 
@@ -167,9 +157,9 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
 
 
 def satisfies_clause(m: Model, clause: Clause) -> bool:
-    heads = [f.constraint for f in m.facts_for(clause.head.pred)]
+    heads = m.facts_for(clause.head.pred)
     for choice in product(*(m.facts_for(a.pred) for a in clause.body)):
-        image = head_image(clause, zip(clause.body, (f.constraint for f in choice)))
+        image = head_image(clause, zip(clause.body, choice))
         if image is not None and not _covered(image, heads):
             return False
     return True
@@ -192,8 +182,7 @@ def _maximal(m: Model) -> Model:
     for pred, facts in m.facts.items():
         out.facts[pred] = [
             f for i, f in enumerate(facts)
-            if not any(j != i and f.constraint.entails(g.constraint)
-                       and (j < i or not g.constraint.entails(f.constraint))
+            if not any(j != i and f.entails(g) and (j < i or not g.entails(f))
                        for j, g in enumerate(facts))]
     return out
 
@@ -225,7 +214,7 @@ def linearize(p_next: Program, s: Model) -> Program:
                 keep.append(a)
         used = list(dict.fromkeys(v.name for a in (c.head, *keep) for v in a.args))
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
-            image = _image(c, zip(substitute, (f.constraint for f in choice)), used)
+            image = _image(c, zip(substitute, choice), used)
             if image is not None:
                 out.append(Clause(0, c.head, image.simplify().constraints, tuple(keep),
                                   provenance=c.provenance))

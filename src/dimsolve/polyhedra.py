@@ -55,21 +55,16 @@ only where Fourier-Motzkin would give the same answer:
   Programming*, 1986), a nonempty polyhedron implies ``c`` only when each
   variable of ``c`` occurs with its sign in ``c`` in an inequality row or
   occurs in an equality row (both signs for an equality ``c``).  Where one
-  does not, ``entails_constraint`` answers ``is_empty()``;
-- ``_simplify`` keeps a row unchecked when it mentions a variable that no
-  other kept row mentions.  The polyhedron is nonempty, and moving along
-  that variable from any point breaks the row and no other, so the others
-  cannot imply it.
+  does not, ``entails_constraint`` answers ``is_empty()``.
 
-A polyhedron that contains a nonempty one is nonempty, so five
+A polyhedron that contains a nonempty one is nonempty, so four
 constructions start with ``sat`` known true: the hull's lifted result (both
 operands are nonempty by then, and it holds both); widening's kept rows
 (they hold ``other``) and each swapped row set (it holds ``self``, which
-implies the row swapped in); each row subset ``_simplify`` tests a row
-against (it holds ``self``); and the projection of a polyhedron known
-nonempty.  On these, ``_simplify``'s opening emptiness test and the
-``is_empty()`` of ``entails_constraint`` after a failed sign test run no
-elimination.
+implies the row swapped in); and each row subset ``_simplify`` tests a row
+against (it holds ``self``).  On these, ``_simplify``'s opening emptiness
+test and the ``is_empty()`` of ``entails_constraint`` after a failed sign
+test run no elimination.
 
 ``sat``, ``project``, ``hull``, ``simplify`` and ``rename`` (keyed by the
 old and new dimensions) are pure functions of the dimensions and
@@ -436,11 +431,8 @@ class Polyhedron:
         keep = tuple(keep)
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
-        out = _memoized(("project", self.dims, self.constraints, keep),
-                        lambda: self._project(keep))
-        if out._sat is None and self._sat:
-            out._sat = True
-        return out
+        return _memoized(("project", self.dims, self.constraints, keep),
+                         lambda: self._project(keep))
 
     def _project(self, keep: tuple) -> "Polyhedron":
         rows = _eliminate(list(self.constraints), set(self.dims) - set(keep))
@@ -518,9 +510,7 @@ class Polyhedron:
         ineqs = sorted([c for c in kept if c.rel != EQ], reverse=True)
         for c in ineqs + sorted([c for c in kept if c.rel == EQ], reverse=True):
             rest = [k for k in kept if k != c]
-            # a row alone on one of its variables is never implied
-            if c.vars() <= {v for k in rest for v, _ in k.terms} and \
-                    _nonempty(self.dims, rest).entails_constraint(c):
+            if _nonempty(self.dims, rest).entails_constraint(c):
                 kept = rest
         out = _nonempty(self.dims, kept)
         # simplifying ``out`` again gives ``out``

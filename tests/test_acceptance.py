@@ -8,11 +8,11 @@ from contextlib import contextmanager
 from dimsolve.driver import Config, solve
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear
-from dimsolve.models import (ConstrainedFact, Model, inductive, linearize,
-                             satisfies_clause, violations)
+from dimsolve.models import (Model, inductive, linearize, satisfies_clause,
+                             violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron
-from dimsolve.syntax import ATMOST, PredRef, Var, is_linear
+from dimsolve.syntax import ATMOST, PredRef, is_linear
 from dimsolve.terms import EQ, Constraint
 from dimsolve.trees import (Node, contract_skeleton, dim, enumerate_contracted,
                             enumerate_trees, height)
@@ -66,8 +66,8 @@ def test_criterion_3_linearization_golden():
                       "reference simplified clauses (base B=A)"):
         seg0 = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1),
                     C({"A": 1, "B": -1}, 0, EQ))
-        s0 = Model([ConstrainedFact(PredRef("fib", ATMOST, 0),
-                                    (Var("A"), Var("B")), seg0)])
+        s0 = Model()
+        s0.add(PredRef("fib", ATMOST, 0), seg0)
         out = linearize(parse(EXCERPT_SRC), s0)
         assert is_linear(out)  # exact (the linearization lemma)
         expected = parse("""\
@@ -174,9 +174,7 @@ def test_criterion_8_linearization_always_linear():
                     arity = kp.signatures[pred]
                     dims = [v.name for v in canonical_params(arity)]
                     for _ in range(rng.randint(1, 2)):
-                        model.add(ConstrainedFact(
-                            pred, canonical_params(arity),
-                            random_poly(rng, dims, coeff_range=(-3, 3))))
+                        model.add(pred, random_poly(rng, dims, coeff_range=(-3, 3)))
             assert is_linear(linearize(kp, model))
             cases += 1
 

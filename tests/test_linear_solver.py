@@ -74,7 +74,7 @@ def test_solve_fib_level0(fib):
     atmost = v.model.facts_for(PredRef("fib", ATMOST, 0))
     assert len(exact) == len(atmost) == 1
     for f in (exact[0], atmost[0]):
-        assert f.constraint.entails(SEG0) and SEG0.entails(f.constraint)
+        assert f.entails(SEG0) and SEG0.entails(f)
     assert not v.model.facts_for(PredRef("false", EXACT, 0))
 
 
@@ -87,7 +87,7 @@ def test_widening_reaches_unbounded_invariant():
     v = solve_linear(parse("p(X) :- X=0.\np(Y) :- Y=X+1, p(X)."))
     (fact,) = v.model.facts_for(PredRef("p"))
     expected = poly(("A",), C({"A": -1}, 0))
-    assert fact.constraint.entails(expected) and expected.entails(fact.constraint)
+    assert fact.entails(expected) and expected.entails(fact)
 
 
 def test_soundness_gate_on_solved_models(fib, fib_bench):

@@ -6,9 +6,8 @@ import pytest
 
 from dimsolve import models
 from dimsolve.kdim import kdim
-from dimsolve.models import (ConstrainedFact, Model, SplitBudgetExceeded,
-                             inductive, linearize, satisfies_clause,
-                             violations)
+from dimsolve.models import (Model, SplitBudgetExceeded, inductive, linearize,
+                             satisfies_clause, violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron, SolverTimeout, memo
 from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
@@ -17,12 +16,19 @@ from dimsolve.terms import EQ
 from conftest import (C, grid_points, poly, random_constraint, random_poly,
                       random_program)
 
-AB = (Var("A"), Var("B"))
 SEG0 = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1), C({"A": 1, "B": -1}, 0, EQ))
 
 
+def model_of(*facts):
+    """The model of the ``(pred, polyhedron)`` pairs ``facts``."""
+    m = Model()
+    for pred, poly in facts:
+        m.add(pred, poly)
+    return m
+
+
 def seg0_model(pred="fib"):
-    return Model([ConstrainedFact(PredRef(pred), AB, SEG0)])
+    return model_of((PredRef(pred), SEG0))
 
 
 def test_base_model_rejects_recursive_clause(fib):
@@ -36,7 +42,7 @@ def test_base_model_rejects_recursive_clause(fib):
 
 
 def test_top_model_satisfies_definite_clauses(fib):
-    top = Model([ConstrainedFact(PredRef("fib"), AB, Polyhedron(("A", "B")))])
+    top = model_of((PredRef("fib"), Polyhedron(("A", "B"))))
     c1, c2, c3 = fib.clauses
     assert satisfies_clause(top, c1)
     assert satisfies_clause(top, c2)
@@ -46,7 +52,7 @@ def test_top_model_satisfies_definite_clauses(fib):
 
 def test_false_interpretation_is_pinned_empty():
     p = parse("false :- X > 2, p(X).")
-    m = Model([ConstrainedFact(PredRef("p"), (Var("A"),), poly(("A",), C({"A": 1}, -1)))])
+    m = model_of((PredRef("p"), poly(("A",), C({"A": 1}, -1))))
     # body cannot reach X > 2, clause holds; no stored fact for false is consulted
     assert satisfies_clause(m, p.clauses[0])
 
@@ -59,11 +65,11 @@ def test_empty_model_vacuously_inductive():
 def test_disjunction_covers_head():
     # fib -> two disjuncts covering the head region of a chain clause
     p = parse("q(X) :- X >= 0, X =< 3.\nr(Y) :- Y = X, q(X).")
-    m = Model([
-        ConstrainedFact(PredRef("q"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -3))),
-        ConstrainedFact(PredRef("r"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -1))),
-        ConstrainedFact(PredRef("r"), (Var("A"),), poly(("A",), C({"A": -1}, 1), C({"A": 1}, -3))),
-    ])
+    m = model_of(
+        (PredRef("q"), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -3))),
+        (PredRef("r"), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -1))),
+        (PredRef("r"), poly(("A",), C({"A": -1}, 1), C({"A": 1}, -3))),
+    )
     assert satisfies_clause(m, p.clauses[1])
 
 
@@ -76,9 +82,8 @@ def test_split_budget_exhaustion_raises(monkeypatch):
     # A > 4, and the second splits that again.  Over the rationals
     # 4 < A < 5 stays uncovered.
     p = parse("r(Y) :- Y = X, q(X).")
-    m = Model([ConstrainedFact(PredRef("q"), (Var("A"),), interval(0, 9))]
-              + [ConstrainedFact(PredRef("r"), (Var("A"),), r)
-                 for r in (interval(0, 4), interval(5, 9))])
+    m = model_of((PredRef("q"), interval(0, 9)),
+                 *((PredRef("r"), r) for r in (interval(0, 4), interval(5, 9))))
     assert not satisfies_clause(m, p.clauses[0])
     monkeypatch.setattr(models, "_SPLIT_BUDGET", 1)
     with pytest.raises(SplitBudgetExceeded):
@@ -88,8 +93,7 @@ def test_split_budget_exhaustion_raises(monkeypatch):
 def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
     # each row of the head fact is a row of the image, so no piece is made
     p = parse("r(Y) :- Y = X, q(X).")
-    m = Model([ConstrainedFact(PredRef(name), (Var("A"),), interval(0, 9))
-               for name in ("q", "r")])
+    m = model_of(*((PredRef(name), interval(0, 9)) for name in ("q", "r")))
     monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)
     assert satisfies_clause(m, p.clauses[0])
 
@@ -104,10 +108,10 @@ def test_coverage_on_head_image_in_head_argument_order():
     # The head lists Z before Y and X is projected away: the image is the
     # segment A = B + 1, 0 =< B =< 9, covered only by the union of two facts.
     p = parse("r(Z, Y) :- q(X), Y = X, Z = X + 1.")
-    q = ConstrainedFact(PredRef("q"), (Var("A"),), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9)))
+    q = (PredRef("q"), poly(("A",), C({"A": -1}, 0), C({"A": 1}, -9)))
 
     def model(*regions):
-        return Model([q] + [ConstrainedFact(PredRef("r"), AB, r) for r in regions])
+        return model_of(q, *((PredRef("r"), r) for r in regions))
 
     low, high = box(1, 6, 0, 5), box(5, 10, 4, 9)
     assert satisfies_clause(model(low, high), p.clauses[0])
@@ -127,7 +131,7 @@ def test_inductive_monotone_in_program(fib):
 
 def test_arity_mismatch_raises():
     p = parse("r(Y) :- q(Y).")
-    bad = Model([ConstrainedFact(PredRef("q"), AB, Polyhedron(("A", "B")))])
+    bad = model_of((PredRef("q"), Polyhedron(("A", "B"))))
     with pytest.raises(ValueError):
         satisfies_clause(bad, p.clauses[0])
 
@@ -138,21 +142,31 @@ def test_model_text_roundtrip():
     assert Model.parse(m.render()).render() == m.render()
 
 
+def test_fact_arguments_are_positional():
+    # argument i of a fact is the i-th dimension of its polyhedron, which is
+    # renamed onto the canonical parameters whatever its names
+    m = Model.parse("p(Y, X) :- [X >= 0].\n")
+    assert m.render() == "p(A, B) :- [B>=0].\n"
+    assert Model.parse(m.render()) == m
+    added = Model()
+    added.add(PredRef("p"), poly(("Y", "X"), C({"X": -1}, 0)))
+    assert added == m
+
+
 def test_model_dedup_and_empty_drop():
     m = Model()
-    m.add(ConstrainedFact(PredRef("p"), AB, SEG0))
-    m.add(ConstrainedFact(PredRef("p"), AB, SEG0))
-    m.add(ConstrainedFact(PredRef("p"), AB, Polyhedron.bottom(("A", "B"))))
+    m.add(PredRef("p"), SEG0)
+    m.add(PredRef("p"), SEG0)
+    m.add(PredRef("p"), Polyhedron.bottom(("A", "B")))
     assert len(m.facts_for(PredRef("p"))) == 1
 
 
 def test_erase_indices_merges_facts():
-    m = Model([
-        ConstrainedFact(PredRef("fib", "exact", 0), AB, SEG0),
-        ConstrainedFact(PredRef("fib", "atmost", 0), AB, SEG0),
-        ConstrainedFact(PredRef("fib", "exact", 1), AB,
-                        poly(("A", "B"), C({"A": -1}, 2))),
-    ])
+    m = model_of(
+        (PredRef("fib", "exact", 0), SEG0),
+        (PredRef("fib", "atmost", 0), SEG0),
+        (PredRef("fib", "exact", 1), poly(("A", "B"), C({"A": -1}, 2))),
+    )
     erased = m.erase_indices()
     assert set(erased.facts) == {PredRef("fib")}
     assert len(erased.facts_for(PredRef("fib"))) == 2  # duplicates merge
@@ -173,10 +187,9 @@ fib[2](A,B) :- [A>=0,B>=1,-A+B>=0].
 def test_fact_erasure_drops_index():
     m = Model.parse("fib(0)(A,B) :- [-A>= -1,A>=0,B=1].\n")
     erased = m.erase_indices()
-    (fact,) = erased.facts_for(PredRef("fib"))
-    assert not fact.pred.indexed
-    assert fact.constraint == Model.parse(
-        "fib(A,B) :- [-A>= -1,A>=0,B=1].\n").facts_for(PredRef("fib"))[0].constraint
+    assert set(erased.facts) == {PredRef("fib")}
+    assert erased.facts_for(PredRef("fib")) == Model.parse(
+        "fib(A,B) :- [-A>= -1,A>=0,B=1].\n").facts_for(PredRef("fib"))
 
 
 def test_final_listing_erases_to_disjunction():
@@ -196,8 +209,8 @@ def test_final_listing_inductive_for_unit_base(fib, fib_bench):
 # --- linearization -------------------------------------------------------
 
 def s0_for(pred="fib"):
-    return Model([ConstrainedFact(PredRef(pred, "atmost", 0), AB, SEG0),
-                  ConstrainedFact(PredRef(pred, "exact", 0), AB, SEG0)])
+    return model_of((PredRef(pred, "atmost", 0), SEG0),
+                    (PredRef(pred, "exact", 0), SEG0))
 
 
 EXCERPT = """\
@@ -235,9 +248,9 @@ def test_linearize_empty_interpretation_drops_clause():
 
 def test_linearize_disjunction_multiplies_clauses():
     p = parse("fib(1)(A,B) :- A>1, C=A-2, E=A-1, B=F+D, fib(1)(C,D), fib[0](E,F).")
-    m = Model([ConstrainedFact(PredRef("fib", "atmost", 0), AB, SEG0),
-               ConstrainedFact(PredRef("fib", "atmost", 0), AB,
-                               poly(("A", "B"), C({"A": 1}, -5, EQ), C({"B": 1}, -5, EQ)))])
+    m = model_of((PredRef("fib", "atmost", 0), SEG0),
+                 (PredRef("fib", "atmost", 0),
+                  poly(("A", "B"), C({"A": 1}, -5, EQ), C({"B": 1}, -5, EQ))))
     out = linearize(p, m)
     assert len(out.clauses) == 2
     assert is_linear(out)
@@ -260,11 +273,8 @@ def test_linearize_of_kdim_is_linear_random():
         model = Model()
         for pred in kp.signatures:
             if pred.indexed and pred.d <= k and rng.random() < 0.8:
-                arity = kp.signatures[pred]
-                dims = [v.name for v in
-                        __import__("dimsolve.syntax", fromlist=["canonical_params"]).canonical_params(arity)]
-                model.add(ConstrainedFact(pred, tuple(Var(d) for d in dims),
-                                          random_poly(rng, dims, coeff_range=(-3, 3))))
+                dims = [v.name for v in canonical_params(kp.signatures[pred])]
+                model.add(pred, random_poly(rng, dims, coeff_range=(-3, 3)))
         out = linearize(kp, model)
         assert is_linear(out)
         cases += 1
@@ -273,10 +283,9 @@ def test_linearize_of_kdim_is_linear_random():
 def test_ground_instance_agreement(fib):
     """When satisfies_clause accepts, every integer body point maps into some
     head disjunct (checked on a small grid)."""
-    m = Model([ConstrainedFact(PredRef("fib"), AB, SEG0),
-               ConstrainedFact(PredRef("fib"), AB,
-                               poly(("A", "B"), C({"A": -1}, 2), C({"A": 1}, -3),
-                                    C({"A": 1, "B": -1}, -1, EQ)))])
+    m = model_of((PredRef("fib"), SEG0),
+                 (PredRef("fib"), poly(("A", "B"), C({"A": -1}, 2), C({"A": 1}, -3),
+                                       C({"A": 1, "B": -1}, -1, EQ))))
     for clause in fib.clauses:
         if not satisfies_clause(m, clause):
             continue
@@ -286,15 +295,15 @@ def test_ground_instance_agreement(fib):
         for choice in product(*facts):
             rows = list(clause.constraint)
             for atom, fact in zip(clause.body, choice):
-                mapping = {p.name: a.name for p, a in zip(fact.params, atom.args)}
-                rows.extend(c.rename(mapping) for c in fact.constraint.constraints)
+                mapping = {d: a.name for d, a in zip(fact.dims, atom.args)}
+                rows.extend(c.rename(mapping) for c in fact.constraints)
             body = Polyhedron(dims, rows)
             for pt in grid_points(dims, -5, 5):
                 if not body.eval_point(pt):
                     continue
                 head_pt = {p.name: pt[a.name] for p, a in
                            zip((Var("A"), Var("B")), clause.head.args)}
-                assert any(f.constraint.eval_point(head_pt) for f in heads)
+                assert any(f.eval_point(head_pt) for f in heads)
 
 
 # The index-erased tree3 model at k=2: every fact but ``3*A-B=< -1`` is
@@ -328,16 +337,15 @@ def random_model(rng, p):
     for pred, arity in p.signatures.items():
         if pred == FALSE:
             continue
-        params = canonical_params(arity)
-        dims = [v.name for v in params]
+        dims = [v.name for v in canonical_params(arity)]
         for _ in range(rng.randint(0, 2)):
             base = random_poly(rng, dims, coeff_range=(-3, 3))
-            facts.append(ConstrainedFact(pred, params, base))
+            facts.append((pred, base))
             if rng.random() < 0.7:
                 stronger = base.conjoin([random_constraint(rng, dims, (-3, 3))])
-                facts.append(ConstrainedFact(pred, params, stronger))
+                facts.append((pred, stronger))
     rng.shuffle(facts)
-    return Model(facts)
+    return model_of(*facts)
 
 
 def test_violations_agree_with_unpruned_check(fib, tree3):

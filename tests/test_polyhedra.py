@@ -351,8 +351,8 @@ def test_simplify_equivalence_random():
 def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # each construction that starts with ``sat`` true contains a nonempty
     # polyhedron: the hull's lifted result, widening's kept rows and each
-    # swapped row set, simplify's row subsets, and the projection of a
-    # polyhedron known nonempty.  Elimination must find a point in each
+    # swapped row set, and simplify's row subsets.  Elimination must find a
+    # point in each
     marked = []
     nonempty = polyhedra._nonempty
 
@@ -371,8 +371,7 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
             h = a.hull(b)
             a.widen(h)
             b.widen(a)
-            marked.append(("project", a.project(("x", "z"))))
-    assert {where for where, _ in marked} == {"_hull", "widen", "_simplify", "project"}
+    assert {where for where, _ in marked} == {"_hull", "widen", "_simplify"}
     assert len(marked) > 1000
     for where, q in marked:
         assert q._sat is True, where

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from dimsolve import (Atom, Clause, Config, ConstrainedFact, DerivTree,
-                      LinearVerdict, Node, PredRef, Program, SolveOutcome,
-                      Var, enumerate_trees, parse, solve, solve_linear)
+from dimsolve import (Atom, Clause, Config, DerivTree, LinearVerdict, Node,
+                      PredRef, Program, SolveOutcome, Var, enumerate_trees,
+                      parse, solve)
 from dimsolve.parser import Token, tokenize
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -17,9 +17,8 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 def _records(fib_bench):
     clause = fib_bench.clauses[0]
-    fact = solve_linear(fib_bench).model.facts_for(clause.head.pred)[0]
     tree = next(enumerate_trees(fib_bench, clause.head.pred, 1))
-    return [Var("A"), clause.head.pred, clause.head, clause, fib_bench, fact,
+    return [Var("A"), clause.head.pred, clause.head, clause, fib_bench,
             tokenize("p.")[0], Node("n"), tree, Config(),
             solve(fib_bench), LinearVerdict(None, "why")]
 
@@ -27,7 +26,7 @@ def _records(fib_bench):
 def test_fields_cannot_be_assigned(fib_bench):
     records = _records(fib_bench)
     assert {type(r) for r in records} == {
-        Var, PredRef, Atom, Clause, Program, ConstrainedFact, Token, Node,
+        Var, PredRef, Atom, Clause, Program, Token, Node,
         DerivTree, Config, SolveOutcome, LinearVerdict}
     for record in records:
         with pytest.raises(AttributeError):
@@ -80,11 +79,15 @@ def test_config_repr_and_replace():
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
     # -S keeps site-packages hooks, which the package does not control, out
     # of the module list; ``dimsolve.trees`` loads only once a name of it
-    # is asked for
-    probe = ("import sys, dimsolve\n"
+    # is asked for, and a solve from the command line asks for none
+    probe = ("import contextlib, io, sys, dimsolve\n"
+             "from dimsolve import cli\n"
              "with open(sys.argv[1]) as f:\n"
              "    out = dimsolve.solve(dimsolve.parse(f.read()))\n"
              "assert out.solved, out\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as printed:\n"
+             "    assert cli.main([sys.argv[1]]) == 0\n"
+             "assert printed.getvalue().startswith('SOLVED\\n')\n"
              "print(' '.join(m for m in ('dataclasses', 'inspect', 'dimsolve.trees')\n"
              "               if m in sys.modules))\n"
              "from dimsolve import dim\n"
