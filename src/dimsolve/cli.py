@@ -115,11 +115,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     if args.command == "kdim":
+        if args.k < 0:
+            return _fail("--k must be nonnegative")
         program = _parse_program(args.file)
         try:
             sys.stdout.write(render_program(kdim(program, args.k)))
-        except ValueError as e:
-            return _fail(e)
+        except IndexedInput as e:
+            return _fail(f"{args.file}: {e}")
         return 0
 
     if args.command == "solve-linear":

@@ -13,10 +13,10 @@ its own reason, caught anywhere in a level); no unsafety claim is ever made.
 
 The whole loop runs inside one ``polyhedra.memo()`` block, so the fixpoint
 rounds, the soundness gate, the inductiveness check and linearize share each
-polyhedral result the solve has already computed; the table is dropped when
-``solve`` returns.  The block also holds the ``timeout_s`` deadline, which
-every Fourier-Motzkin elimination step checks, so no layer takes a deadline
-of its own.
+polyhedral result and each clause image (``models.head_image``) the solve
+has already computed; the table is dropped when ``solve`` returns.  The
+block also holds the ``timeout_s`` deadline, which every Fourier-Motzkin
+elimination step checks, so no layer takes a deadline of its own.
 """
 
 from __future__ import annotations

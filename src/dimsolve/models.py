@@ -16,13 +16,19 @@ model to its maximal facts, dropping each fact entailed by another fact of
 the same predicate.  That is exact: the union of head facts is unchanged,
 and a body combination using a dropped fact has its head image inside the
 image of the same combination using the fact that entails it.
+
+Inside a ``polyhedra.memo()`` block, ``head_image`` stores each image,
+None included, in the block's table.  An image is a pure function of what
+``Clause.__eq__`` compares and of the chosen ``(atom, polyhedron)`` pairs,
+so the fixpoint rounds, the soundness gate and ``violations`` of one solve
+compute each distinct image once.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .polyhedra import Polyhedron, ResourceExhausted
+from .polyhedra import Polyhedron, ResourceExhausted, _memoized
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
                      render_atom)
 from .terms import Constraint
@@ -111,7 +117,13 @@ def _image(clause: Clause, chosen, keep) -> Polyhedron | None:
 
 def head_image(clause: Clause, chosen) -> Polyhedron | None:
     """The clause body projected onto the head arguments and renamed to
-    ``canonical_params``; None when the body is unsatisfiable."""
+    ``canonical_params``; None when the body is unsatisfiable.  Memoized
+    (module docstring)."""
+    chosen = tuple(chosen)
+    return _memoized(("image", clause, chosen), lambda: _head_image(clause, chosen))
+
+
+def _head_image(clause: Clause, chosen) -> Polyhedron | None:
     head_vars = [v.name for v in clause.head.args]
     image = _image(clause, chosen, head_vars)
     if image is None:

@@ -74,9 +74,11 @@ A renamed polyhedron inherits a known ``sat``; a simplified one is
 nonempty.  ``simplify`` is idempotent, so its result is also stored as its
 own simplification.  The block also holds the solve's deadline, which
 ``_eliminate`` checks on entry and once per elimination step, so the
-deadline holds inside a single hull or clause check.  Table and deadline live in context
-variables: nested blocks share them, and the outermost block drops both on
-exit.  Outside a block nothing is stored and no clock is read.
+deadline holds inside a single hull or clause check.
+``models.head_image`` stores its clause images in the same table.  Table
+and deadline live in context variables: nested blocks share them, and the
+outermost block drops both on exit.  Outside a block nothing is stored and
+no clock is read.
 """
 
 from __future__ import annotations
@@ -193,20 +195,29 @@ def _prune_masked(rows):
     AND of the masks of every row merged into it."""
     eqs = {}
     ineqs = {}
+    zero = (0,) * len(rows[0][0]) if rows else ()  # every row has one width
     for r in rows:
         lhs, const, rel, mask = r
-        if not any(lhs):
+        if lhs == zero:
             if _is_false(const, rel):
                 return None
             continue
-        # rows under one key of ``eqs`` are equal, so equally strong
-        table, key = (eqs, (lhs, const)) if rel == EQ else (ineqs, lhs)
-        old = table.get(key)
-        if old is not None:
-            if (old[1], old[2] == LT) >= (const, rel == LT):
-                lhs, const, rel = old[:3]
-            mask &= old[3]
-        table[key] = lhs, const, rel, mask
+        if rel == EQ:
+            table = eqs
+            key = lhs, const
+        else:
+            table = ineqs
+            key = lhs
+        old = table.setdefault(key, r)
+        if old is r:
+            continue  # the first row of its key
+        # rows under one key of ``eqs`` are equal, so equally strong; else
+        # ``old`` is at least as strong when its constant is larger, or
+        # equal with ``old`` strict or ``r`` not
+        if old[1] > const or old[1] == const and (old[2] == LT or rel != LT):
+            table[key] = old[0], old[1], old[2], old[3] & mask
+        else:
+            table[key] = lhs, const, rel, old[3] & mask
     return list(eqs.values()) + list(ineqs.values())
 
 
@@ -246,13 +257,22 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     its mask lets through every combination that theirs would have.  Every
     path leaves at most one row per left-hand side.  The deadline is checked
     on entry and once per step.
+
+    The variables still to eliminate are kept as the ascending column
+    indices of the ``elim`` names that some input row mentions.  Columns
+    follow the sorted names, so the smallest column is the smallest name,
+    and the equality choice and the tie-break pick the same variable by
+    column as by name.  A name that no row mentions changes no row and
+    never counted as a step, so dropping it up front changes nothing; the
+    last variable left is eliminated without counting its pairings.
     """
     _check_deadline()
     names = sorted({v for r in rows for v, _ in r.terms})
     col = {v: j for j, v in enumerate(names)}
     packed = []
+    width = len(names)
     for i, r in enumerate(rows):
-        cs = [0] * len(names)
+        cs = [0] * width
         for v, k in r.terms:
             cs[col[v]] = k
         packed.append((tuple(cs), r.const, r.rel, 1 << i))
@@ -260,18 +280,21 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     if rows is None:
         return None
     steps = 0
-    remaining = set(elim)
+    # ascending columns, in name order (see the docstring)
+    remaining = [j for j, v in enumerate(names) if v in elim]
     # Fourier-Motzkin only makes inequalities, so once no equality mentions
     # a remaining variable, none does again
     while remaining:
         eq = None
         eqs = [r for r in rows if r[2] == EQ]
-        for v in sorted(remaining) if eqs else ():
-            j = col.get(v)
-            if j is not None:
-                eq = next((r for r in eqs if r[0][j]), None)
-                if eq is not None:
+        for j in remaining if eqs else ():
+            for r in eqs:
+                if r[0][j]:
+                    eq = r
                     break
+            else:
+                continue
+            break
         if eq is None:
             break
         _check_deadline()
@@ -291,28 +314,25 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         rows = _prune_masked(new_rows)
         if rows is None:
             return None
-        remaining.discard(v)
+        remaining.remove(j)
     while remaining:
         _check_deadline()
-        # Fourier-Motzkin on the variable with the fewest pos*neg pairings
-        best = None
-        for v in remaining:
-            j = col.get(v)
-            npos = nneg = 0
-            if j is not None:
+        j = remaining[0]
+        if len(remaining) > 1:
+            # Fourier-Motzkin on the variable with the fewest pos*neg
+            # pairings, ties going to the smallest column
+            least = None
+            for k in remaining:
+                npos = nneg = 0
                 for r in rows:
-                    c = r[0][j]
+                    c = r[0][k]
                     if c > 0:
                         npos += 1
                     elif c < 0:
                         nneg += 1
-            if best is None or (npos * nneg, v) < best:
-                best = (npos * nneg, v)
-        v = best[1]
-        remaining.discard(v)
-        j = col.get(v)
-        if j is None:
-            continue
+                if least is None or npos * nneg < least:
+                    least, j = npos * nneg, k
+        remaining.remove(j)
         pos, neg, rest = [], [], []
         for r in rows:
             c = r[0][j]
@@ -328,12 +348,14 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         if not (pos and neg):
             rows = rest  # a subsequence of pruned rows is pruned
             continue
+        bound = steps + 1
         for p in pos:
+            a, strict, mask = p[0][j], p[2] == LT, p[3]
             for n in neg:
-                if (p[3] | n[3]).bit_count() > steps + 1:
+                if (mask | n[3]).bit_count() > bound:
                     continue  # Chernikov: a redundant combination
-                rel = LT if LT in (p[2], n[2]) else LE
-                rest.append(_combine(-n[0][j], p, p[0][j], n, rel))
+                rel = LT if strict or n[2] == LT else LE
+                rest.append(_combine(-n[0][j], p, a, n, rel))
                 if len(rest) > _ROW_CAP:
                     raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
         rows = _prune_masked(rest)

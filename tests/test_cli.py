@@ -136,8 +136,9 @@ WIDEN_DELAY_REJECTED = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\
     (["--timeout-s", "-1"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--dump-trees", "2", "--root", "nosuch"], "dimsolve: no clause has head nosuch\n"),
+    (["kdim", "--k", "-1"], "dimsolve: --k must be nonnegative\n"),
 ], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
-        "timeout-s-negative", "timeout-s-nan", "dump-trees-root"])
+        "timeout-s-negative", "timeout-s-nan", "dump-trees-root", "kdim-k"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"
@@ -149,13 +150,19 @@ def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     assert err == message
 
 
+def test_kdim_bound_checked_before_reading(tmp_path, capsys):
+    code, out, err = run_cli(["kdim", "--k", "-1", str(tmp_path / "missing.pl")], capsys)
+    assert (code, out, err) == (1, "", "dimsolve: --k must be nonnegative\n")
+
+
 def test_indexed_input_exit_one(tmp_path, capsys):
     f = tmp_path / "indexed.pl"
     f.write_text("p(0)(X) :- X = 1.\n")
-    code, out, err = run_cli([str(f)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == f"dimsolve: {f}: input program already contains indexed predicates\n"
+    for args in ([], ["kdim", "--k", "1"]):
+        code, out, err = run_cli([*args, str(f)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"dimsolve: {f}: input program already contains indexed predicates\n"
 
 
 def test_emit_model_unwritable_exit_one(tmp_path, capsys):

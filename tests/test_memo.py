@@ -7,10 +7,11 @@ outcome with and without the memo, and the table must never outlive the
 
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 
-from dimsolve import driver, linear_solver, polyhedra
+from dimsolve import driver, linear_solver, models, polyhedra
 from dimsolve.driver import UNKNOWN_ROW_CAP, Config, solve
 from dimsolve.polyhedra import Polyhedron, RowCapExceeded, memo
 
@@ -40,6 +41,22 @@ def test_solve_outcomes_equal_without_memo(fib, tree3, monkeypatch):
     monkeypatch.setattr(linear_solver, "memo", contextlib.nullcontext)
     plain = [_outcome(p, cfg) for p, cfg in programs]
     assert memoized == plain
+
+
+def test_solve_computes_each_clause_image_once(fib, tree3, monkeypatch):
+    # the fixpoint rounds, the soundness gate and the inductiveness check
+    # ask for the same images; the table answers every repeat
+    compute = models._head_image
+    for p, cfg in ((fib, Config()), (tree3, Config(max_k=4))):
+        computed = Counter()
+
+        def counted(clause, chosen):
+            computed[clause, chosen] += 1
+            return compute(clause, chosen)
+        with monkeypatch.context() as m:
+            m.setattr(models, "_head_image", counted)
+            solve(p, cfg)
+        assert computed and max(computed.values()) == 1
 
 
 def _ops(a, b):
