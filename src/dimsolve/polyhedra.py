@@ -41,30 +41,44 @@ with its own mask is unsound: the rule then drops combinations of that row
 that the weaker row's mask would have let through, and ``sat`` can answer
 true for an infeasible system.
 
-Some questions are settled by the rows alone, and then no elimination
-runs, or only the memoized ``sat`` of the polyhedron.  Each shortcut answers
-only where Fourier-Motzkin would give the same answer:
+Entailment is decided on rows: ``_entails(rows, signs, c)`` takes a pruned
+row tuple and its Farkas sign set and builds no polyhedron.  Two shortcuts
+settle some questions without an elimination, each only where
+Fourier-Motzkin would give the same answer:
 
-- ``entails_constraint`` is true when ``row_entails``: the constraint is a
-  row, or it is an inequality and a non-equality row with the same terms
-  has a bound at least as strong, in ``_prune``'s order.  A row implies
-  what it dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only
-  through ``entails_constraint``, and ``models._covered`` uses the same
-  test to split off no pieces for a head row that the region implies;
+- ``c`` is implied when ``_row_entails``: the constraint is a row, or it is
+  an inequality and a non-equality row with the same terms has a bound at
+  least as strong, in ``_prune``'s order.  A row implies what it
+  dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only through
+  ``entails_constraint``, and ``models._covered`` uses the same test to
+  split off no pieces for a head row that the region implies;
 - otherwise, by Farkas' lemma (Schrijver, *Theory of Linear and Integer
   Programming*, 1986), a nonempty polyhedron implies ``c`` only when each
   variable of ``c`` occurs with its sign in ``c`` in an inequality row or
   occurs in an equality row (both signs for an equality ``c``).  Where one
-  does not, ``entails_constraint`` answers ``is_empty()``.
+  does not, ``_entails`` answers None, and ``entails_constraint`` answers
+  ``is_empty()``, the memoized ``sat`` of the polyhedron.  A polyhedron
+  builds its sign set on its first ``entails_constraint`` and keeps it.
 
-A polyhedron that contains a nonempty one is nonempty, so four
+Otherwise ``c`` is implied when the rows with each negation of ``c``,
+pruned, are unsatisfiable; each such ``sat`` is stored under the same
+``("sat", rows)`` key as ``Polyhedron.sat``.
+
+A polyhedron that contains a nonempty one is nonempty, so three
 constructions start with ``sat`` known true: the hull's lifted result (both
 operands are nonempty by then, and it holds both); widening's kept rows
 (they hold ``other``) and each swapped row set (it holds ``self``, which
-implies the row swapped in); and each row subset ``_simplify`` tests a row
-against (it holds ``self``).  On these, ``_simplify``'s opening emptiness
+implies the row swapped in).  On these, ``_simplify``'s opening emptiness
 test and the ``is_empty()`` of ``entails_constraint`` after a failed sign
-test run no elimination.
+test run no elimination.  Each row subset ``_simplify`` tests a row against
+holds ``self`` too, so there a failed sign test means "not implied".
+
+Rows derived from rows in normal form are built in normal form, without
+``Constraint.make``: the hull's lifted rows and its ``x = y + z`` and ``s``
+rows, ``_recombine``'s equalities and ``_decompose``'s pairs.  Negating
+every number keeps the gcd, and ``#`` sorts before every character of a
+name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
+does.
 
 ``sat``, ``project``, ``hull``, ``simplify`` and ``rename`` (keyed by the
 old and new dimensions) are pure functions of the dimensions and
@@ -365,6 +379,48 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
             for cs, const, rel, _ in rows]
 
 
+def _sat(rows: tuple) -> bool:
+    """Whether the pruned rows ``rows`` hold of some point, memoized under
+    ``("sat", rows)``."""
+    return _memoized(("sat", rows), lambda: _eliminate(
+        list(rows), {v for r in rows for v, _ in r.terms}) is not None)
+
+
+def _row_entails(rows, c: Constraint) -> bool:
+    """Whether a single row of ``rows`` implies ``c``: ``c`` itself, or for
+    an inequality ``c`` a non-equality row with the same terms and a bound
+    at least as strong, in ``_prune``'s order."""
+    if c.rel == EQ:
+        return c in rows
+    bound = (c.const, c.rel == LT)
+    return any(r.terms == c.terms and r.rel != EQ and (r.const, r.rel == LT) >= bound
+               for r in rows)
+
+
+def _sign_set(rows) -> set:
+    """``(v, positive)`` for each sign that ``v`` has in some row of
+    ``rows``, both signs for an equality row (module docstring, Farkas)."""
+    return {(v, s) for r in rows for v, k in r.terms
+            for s in ((True, False) if r.rel == EQ else (k > 0,))}
+
+
+def _entails(rows: tuple, signs: set, c: Constraint) -> bool | None:
+    """Whether the pruned rows ``rows``, with sign set ``signs``, imply
+    ``c``; None when the sign test fails: then they imply ``c`` exactly when
+    they are empty."""
+    if _row_entails(rows, c):
+        return True
+    # Farkas: each term of c needs a row with its sign (module docstring)
+    if not all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
+               for v, k in c.terms):
+        return None
+    for n in c.negations():
+        more = _prune(rows + (n,))
+        if more is not None and _sat(tuple(more)):
+            return False
+    return True
+
+
 def _nonempty(dims, rows) -> "Polyhedron":
     """``Polyhedron(dims, rows)`` for rows that hold of some point, with
     ``sat`` known to be true."""
@@ -382,10 +438,14 @@ def _check_dims(terms, dims) -> None:
 class Polyhedron:
     """A conjunction of atomic constraints over an ordered variable tuple."""
 
-    __slots__ = ("dims", "constraints", "_sat")
+    __slots__ = ("dims", "constraints", "_sat", "_signs")
 
     def __init__(self, dims, constraints=()):
         self.dims = tuple(dims)
+        if len(set(self.dims)) != len(self.dims):
+            repeated = next(d for i, d in enumerate(self.dims) if d in self.dims[:i])
+            raise DimensionMismatch(f"dimension {repeated!r} repeated")
+        self._signs = None
         rows = _prune(list(constraints))
         if rows is None:
             self.constraints = (FALSE_CONSTRAINT,)
@@ -401,8 +461,7 @@ class Polyhedron:
 
     def sat(self) -> bool:
         if self._sat is None:
-            self._sat = _memoized(("sat", self.constraints), lambda: _eliminate(
-                list(self.constraints), set(self.dims)) is not None)
+            self._sat = _sat(self.constraints)
         return self._sat
 
     def is_empty(self) -> bool:
@@ -422,24 +481,15 @@ class Polyhedron:
         return out
 
     def row_entails(self, c: Constraint) -> bool:
-        """Whether a single row implies ``c``: ``c`` itself, or for an
-        inequality ``c`` a non-equality row with the same terms and a bound
-        at least as strong, in ``_prune``'s order."""
-        if c.rel == EQ:
-            return c in self.constraints
-        bound = (c.const, c.rel == LT)
-        return any(r.terms == c.terms and r.rel != EQ and (r.const, r.rel == LT) >= bound
-                   for r in self.constraints)
+        """Whether a single row implies ``c`` (``_row_entails``)."""
+        return _row_entails(self.constraints, c)
 
     def entails_constraint(self, c: Constraint) -> bool:
-        if self.row_entails(c):
-            return True
-        # Farkas: each term of c needs a row with its sign (module docstring)
-        signs = {(v, s) for r in self.constraints for v, k in r.terms
-                 for s in ((True, False) if r.rel == EQ else (k > 0,))}
-        if all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
-               for v, k in c.terms):
-            return all(self.conjoin([n]).is_empty() for n in c.negations())
+        if self._signs is None:
+            self._signs = _sign_set(self.constraints)
+        out = _entails(self.constraints, self._signs, c)
+        if out is not None:
+            return out
         if self.constraints != (FALSE_CONSTRAINT,):  # bottom takes any c
             _check_dims(c.terms, self.dims)
         return self.is_empty()
@@ -477,17 +527,20 @@ class Polyhedron:
         y = {d: f"{d}#1" for d in self.dims}
         z = {d: f"{d}#2" for d in self.dims}
         s1, s2 = "#s1", "#s2"
+        # lifted rows in normal form (module docstring): ``s`` leads, the
+        # gcd stays 1, and an equality whose constant, now its lead, is
+        # negative flips its signs
         rows = []
         for c, copy, s in ((self, y, s1), (other, z, s2)):
             for r in c.constraints:
-                coeffs = {copy[v]: k for v, k in r.terms}
-                coeffs[s] = r.const
-                rows.append(Constraint.make(coeffs, 0, LE if r.rel == LT else r.rel))
-        for d in self.dims:
-            rows.append(Constraint.make({d: 1, y[d]: -1, z[d]: -1}, 0, EQ))
-        rows.append(Constraint.make({s1: 1, s2: 1}, -1, EQ))
-        rows.append(Constraint.make({s1: -1}, 0, LE))
-        rows.append(Constraint.make({s2: -1}, 0, LE))
+                f = -1 if r.rel == EQ and r.const < 0 else 1
+                terms = [(copy[v], f * k) for v, k in r.terms]
+                if r.const:
+                    terms.insert(0, (s, f * r.const))
+                rows.append(Constraint(tuple(terms), 0, LE if r.rel == LT else r.rel))
+        rows += [Constraint(((d, 1), (y[d], -1), (z[d], -1)), 0, EQ) for d in self.dims]
+        rows += [Constraint(((s1, 1), (s2, 1)), -1, EQ),
+                 Constraint(((s1, -1),), 0, LE), Constraint(((s2, -1),), 0, LE)]
         out = _eliminate(rows, set(y.values()) | set(z.values()) | {s1, s2})
         if out is None:
             return Polyhedron.bottom(self.dims)
@@ -528,11 +581,14 @@ class Polyhedron:
     def _simplify(self) -> "Polyhedron":
         if self.is_empty():
             return Polyhedron.bottom(self.dims)
-        kept = _recombine(self.constraints)
-        ineqs = sorted([c for c in kept if c.rel != EQ], reverse=True)
-        for c in ineqs + sorted([c for c in kept if c.rel == EQ], reverse=True):
-            rest = [k for k in kept if k != c]
-            if _nonempty(self.dims, rest).entails_constraint(c):
+        # pruned, so each row subset is pruned too; reversed, the rows are
+        # the inequalities, then the equalities, each from the largest down
+        kept = tuple(_prune(_recombine(self.constraints)))
+        for c in kept[::-1]:
+            rest = tuple([k for k in kept if k != c])
+            # ``rest`` holds ``self``, so it is nonempty, and a failed sign
+            # test (None) means that it does not imply ``c``
+            if _entails(rest, _sign_set(rest), c):
                 kept = rest
         out = _nonempty(self.dims, kept)
         # simplifying ``out`` again gives ``out``
@@ -562,10 +618,12 @@ def _recombine(constraints) -> list[Constraint]:
         if c in used:
             continue
         if c.rel == LE:
-            flipped = Constraint.make({v: -k for v, k in c.terms}, -c.const, LE)
-            mate = ineqs.get((flipped.terms, flipped.const))
+            # negating keeps the gcd and the order of the names
+            mate = ineqs.get((tuple([(v, -k) for v, k in c.terms]), -c.const))
             if mate is not None and mate is not c:
-                out.append(Constraint.make(dict(c.terms), c.const, EQ))
+                # the equality is the row of the pair with a positive lead
+                lead = c if c.terms[0][1] > 0 else mate
+                out.append(Constraint(lead.terms, lead.const, EQ))
                 used.add(mate)
                 used.add(c)
                 continue
@@ -578,8 +636,9 @@ def _decompose(constraints) -> list[Constraint]:
     out = []
     for c in constraints:
         if c.rel == EQ:
-            out.append(Constraint.make(dict(c.terms), c.const, LE))
-            out.append(Constraint.make({v: -k for v, k in c.terms}, -c.const, LE))
+            # in normal form already: negating keeps the gcd
+            out.append(Constraint(c.terms, c.const, LE))
+            out.append(Constraint(tuple([(v, -k) for v, k in c.terms]), -c.const, LE))
         else:
             out.append(c)
     return out

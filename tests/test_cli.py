@@ -270,6 +270,14 @@ def test_installed_entry_point():
         assert proc.stdout.startswith("UNKNOWN max-k")
 
 
+def test_python_dash_m():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "dimsolve", os.path.join(BENCH, "fib.pl")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("SOLVED")
+
+
 def test_output_stable_across_processes():
     outs = []
     for seed in ("0", "424242"):

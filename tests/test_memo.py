@@ -15,7 +15,7 @@ from dimsolve import driver, linear_solver, models, polyhedra
 from dimsolve.driver import UNKNOWN_ROW_CAP, Config, solve
 from dimsolve.polyhedra import Polyhedron, RowCapExceeded, memo
 
-from conftest import C, poly, random_poly, random_program
+from conftest import C, poly, random_constraint, random_poly, random_program
 
 DIMS = ("A", "B", "C")
 SWAP = {"A": "X", "C": "A"}  # reorders the names of a row
@@ -104,6 +104,32 @@ def test_inherited_sat_equals_a_fresh_sat():
                         known += 1
                         assert q._sat == _fresh(q).sat(), (a, q)
     assert known > 300
+
+
+def test_entailment_builds_no_polyhedra(monkeypatch):
+    # entailment is decided on rows: asking a polyhedron again builds
+    # nothing, and ``simplify`` builds only its result
+    built = []
+    init = Polyhedron.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+    rng = random.Random(59)
+    for block in (contextlib.nullcontext, memo):
+        for _ in range(60):
+            p = random_poly(rng, DIMS, rng.randint(1, 5))
+            cands = [random_constraint(rng, DIMS) for _ in range(6)] + list(p.constraints)
+            with block():
+                asked = [p.entails_constraint(c) for c in cands]
+                q = _fresh(p)
+                with monkeypatch.context() as m:
+                    m.setattr(Polyhedron, "__init__", counting)
+                    assert [p.entails_constraint(c) for c in cands] == asked
+                    assert built == []
+                    s = q.simplify()
+                    assert len(built) == 1 and built[0] is s
+                    built.clear()
 
 
 def test_simplify_is_its_own_fixed_point():

@@ -12,11 +12,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dimsolve import polyhedra
+from dimsolve.models import Model
 from dimsolve.parser import _Parser
 from dimsolve.polyhedra import DimensionMismatch, Polyhedron, SolverTimeout, memo
-from dimsolve.terms import EQ, LE, LT, Constraint, linear_combination
+from dimsolve.terms import EQ, FALSE_CONSTRAINT as FALSE, LE, LT, Constraint, linear_combination
 
 from conftest import C, grid_points, poly, random_constraint, random_poly
+
+# names that are prefixes of one another, and that sort around ``_`` and digits
+PREFIX_NAMES = ("A", "AB", "A_1", "_x")
 
 
 # --- sat ---------------------------------------------------------------
@@ -96,6 +100,17 @@ def test_entails_dimension_mismatch():
         poly(("A",), C({"A": 1}, 0)).entails(poly(("Z",), C({"Z": 1}, 0)))
 
 
+def test_repeated_dimension_rejected():
+    with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
+        Polyhedron(("A", "B", "A"))
+    with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
+        poly(("A", "B"), C({"A": 1, "B": -1}, 0)).project(("A", "A"))
+    # a model fact repeating an argument names it, where it failed later
+    # with "renaming collapses dimensions"
+    with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
+        Model.parse("p(A, A) :- [A >= 0].")
+
+
 def test_entails_constraint_equals_elimination():
     # the sign test answers "not entailed" on a nonempty polyhedron only where
     # the elimination over the negations does
@@ -126,6 +141,44 @@ def test_entails_constraint_outside_the_dimensions():
         with pytest.raises(DimensionMismatch, match=r"\['Z'\] not in dims"):
             p.entails_constraint(c)
     assert Polyhedron.bottom(("A",)).entails_constraint(c)
+
+
+def _result(fn):
+    """``fn()``, or the type of the exception it raised."""
+    try:
+        return fn()
+    except DimensionMismatch as e:
+        return type(e)
+
+
+def test_entails_constraint_equals_elimination_when_empty_or_foreign():
+    # empty polyhedra that are not ``bottom``, and constraints over a name
+    # outside the dimensions: both sides must give the same answer or both
+    # raise ``DimensionMismatch``
+    rng = random.Random(73)
+    dims = ("x", "y")
+    polys = [Polyhedron.bottom(dims)]
+    for _ in range(150):
+        p = random_poly(rng, dims, rng.randint(1, 4))
+        polys.append(p)
+        for r in p.constraints[:1]:
+            # with a row that contradicts ``r``, which the prune cannot see:
+            # ``terms + const =< 0`` against ``-terms - const + 1 =< 0``
+            polys.append(p.conjoin([C({v: -k for v, k in r.terms}, 1 - r.const)]))
+    empties = [p for p in polys if p.is_empty() and p.constraints != (FALSE,)]
+    assert len(empties) > 100
+    raised = 0
+    for p in polys:
+        cands = [random_constraint(rng, dims) for _ in range(4)]
+        cands += [random_constraint(rng, ("x", "Z")) for _ in range(4)]
+        cands += list(p.constraints)
+        for c in cands:
+            # fresh operands, so that no cached ``sat`` answers
+            got = _result(lambda: Polyhedron(dims, p.constraints).entails_constraint(c))
+            want = _result(lambda: _fm_entails(Polyhedron(dims, p.constraints), c))
+            assert got == want, (p, c)
+            raised += got is DimensionMismatch
+    assert raised > 300
 
 
 def test_entails_is_emptiness_or_each_row():
@@ -348,19 +401,86 @@ def test_simplify_equivalence_random():
             assert not _fm_entails(rest, c)
 
 
+def _reference_recombine(rows):
+    """``polyhedra._recombine`` as it was, through ``Constraint.make``."""
+    ineqs = {(c.terms, c.const): c for c in rows if c.rel == LE}
+    out, used = [], set()
+    for c in rows:
+        if c in used:
+            continue
+        if c.rel == LE:
+            flipped = C({v: -k for v, k in c.terms}, -c.const)
+            mate = ineqs.get((flipped.terms, flipped.const))
+            if mate is not None and mate is not c:
+                out.append(C(dict(c.terms), c.const, EQ))
+                used.update((c, mate))
+                continue
+        out.append(c)
+    return out
+
+
+def _reference_simplify(p):
+    """``simplify`` as a greedy loop that tests each row by elimination
+    alone, on one polyhedron per question."""
+    if p.is_empty():
+        return Polyhedron.bottom(p.dims)
+    kept = _reference_recombine(p.constraints)
+    ineqs = sorted([c for c in kept if c.rel != EQ], reverse=True)
+    for c in ineqs + sorted([c for c in kept if c.rel == EQ], reverse=True):
+        rest = [k for k in kept if k != c]
+        if all(Polyhedron(p.dims, rest).conjoin([n]).is_empty() for n in c.negations()):
+            kept = rest
+    return Polyhedron(p.dims, kept)
+
+
+def _with_mates(rng, p):
+    """``p`` with the opposite of some of its inequalities, so that
+    ``simplify`` has pairs to merge into equalities."""
+    mates = [C({v: -k for v, k in r.terms}, -r.const) for r in p.constraints
+             if r.rel == LE and rng.random() < 0.5]
+    return p.conjoin(mates)
+
+
+def test_simplify_matches_reference_greedy_loop():
+    rng = random.Random(47)
+    merged = 0
+    for dims in (("x", "y", "z"), PREFIX_NAMES):
+        for _ in range(150):
+            p = _with_mates(rng, random_poly(rng, dims, rng.randint(1, 6)))
+            # fresh operands, so that no cached ``sat`` answers
+            got = Polyhedron(dims, p.constraints).simplify()
+            assert got == _reference_simplify(Polyhedron(dims, p.constraints)), p
+            merged += any(r.rel == EQ for r in got.constraints)
+    assert merged > 50
+    # the equalities merged from pairs are tried in row order; in the order
+    # of the pairs, ``A+B= -1`` would be dropped instead of ``2*A+3*B= -2``
+    dims = ("A", "B", "C")
+    p = poly(dims, *_rows("A+B>= -1, 2*A+3*B>= -2, A= -1, 3*C=<1, A+B=< -1, "
+                          "2*A+3*B=< -2, 3*C>=1"))
+    want = poly(dims, *_rows("A= -1, A+B= -1, 3*C=1"))
+    assert p.simplify() == _reference_simplify(Polyhedron(dims, p.constraints)) == want
+
+
 def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # each construction that starts with ``sat`` true contains a nonempty
     # polyhedron: the hull's lifted result, widening's kept rows and each
-    # swapped row set, and simplify's row subsets.  Elimination must find a
-    # point in each
-    marked = []
-    nonempty = polyhedra._nonempty
+    # swapped row set, and simplify's result; so do the row subsets that
+    # simplify hands to ``_entails``, where a failed sign test means "not
+    # implied".  Elimination must find a point in each
+    marked, subsets = [], []
+    nonempty, entails = polyhedra._nonempty, polyhedra._entails
 
     def recording(dims, rows):
         out = nonempty(dims, rows)
         marked.append((sys._getframe(1).f_code.co_name, out))
         return out
+
+    def recording_rows(rows, signs, c):
+        if sys._getframe(1).f_code.co_name == "_simplify":
+            subsets.append(rows)
+        return entails(rows, signs, c)
     monkeypatch.setattr(polyhedra, "_nonempty", recording)
+    monkeypatch.setattr(polyhedra, "_entails", recording_rows)
     rng = random.Random(37)
     dims = ("x", "y", "z")
     for i in range(300):
@@ -372,10 +492,12 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
             a.widen(h)
             b.widen(a)
     assert {where for where, _ in marked} == {"_hull", "widen", "_simplify"}
-    assert len(marked) > 1000
+    assert len(marked) > 1000 and len(subsets) > 1000
     for where, q in marked:
         assert q._sat is True, where
         assert polyhedra._eliminate(list(q.constraints), set(q.dims)) is not None, (where, q)
+    for rows in subsets:
+        assert polyhedra._eliminate(list(rows), {"x", "y", "z"}) is not None, rows
 
 
 def test_prune_trivial_and_contradiction():
@@ -639,6 +761,64 @@ def test_hull_matches_reference_elimination(monkeypatch):
             continue
         assert h == ref, (a, b)
     assert capped > 0
+
+
+def _reference_lifted(a, b):
+    """The rows ``_hull`` hands to ``_eliminate``, built as they were,
+    through ``Constraint.make``."""
+    y = {d: f"{d}#1" for d in a.dims}
+    z = {d: f"{d}#2" for d in a.dims}
+    rows = []
+    for p, copy, s in ((a, y, "#s1"), (b, z, "#s2")):
+        for r in p.constraints:
+            coeffs = {copy[v]: k for v, k in r.terms}
+            coeffs[s] = r.const
+            rows.append(C(coeffs, 0, LE if r.rel == LT else r.rel))
+    rows += [C({d: 1, y[d]: -1, z[d]: -1}, 0, EQ) for d in a.dims]
+    return rows + [C({"#s1": 1, "#s2": 1}, -1, EQ), C({"#s1": -1}, 0), C({"#s2": -1}, 0)]
+
+
+def _reference_decompose(rows):
+    """``polyhedra._decompose`` as it was, through ``Constraint.make``."""
+    out = []
+    for c in rows:
+        if c.rel == EQ:
+            out += [C(dict(c.terms), c.const, LE), C({v: -k for v, k in c.terms}, -c.const, LE)]
+        else:
+            out.append(c)
+    return out
+
+
+def test_derived_rows_equal_the_rows_make_builds(monkeypatch):
+    # rows built directly in normal form equal those ``Constraint.make``
+    # builds from the same coefficients, over names that are prefixes of
+    # one another
+    lifted = []
+    eliminate = polyhedra._eliminate
+
+    def recording(rows, elim):
+        if sys._getframe(1).f_code.co_name == "_hull":
+            lifted.append(rows)
+        return eliminate(rows, elim)
+    monkeypatch.setattr(polyhedra, "_eliminate", recording)
+    rng = random.Random(83)
+    strict = negative_eqs = merged = hulls = 0
+    for _ in range(300):
+        a, b = (_with_mates(rng, random_poly(rng, PREFIX_NAMES, rng.randint(1, 4)))
+                for _ in range(2))
+        for p in (a, b):
+            assert polyhedra._recombine(p.constraints) == _reference_recombine(p.constraints)
+            assert polyhedra._decompose(p.constraints) == _reference_decompose(p.constraints)
+            strict += sum(r.rel == LT for r in p.constraints)
+            negative_eqs += sum(r.rel == EQ and r.const < 0 for r in p.constraints)
+            merged += len(p.constraints) - len(polyhedra._recombine(p.constraints))
+        if a.is_empty() or b.is_empty():
+            continue  # the hull lifts no rows
+        lifted.clear()
+        a.hull(b)
+        assert lifted == [_reference_lifted(a, b)], (a, b)
+        hulls += 1
+    assert min(strict, negative_eqs, merged, hulls) > 100
 
 
 # --- deadline ------------------------------------------------------------
