@@ -31,15 +31,17 @@ input rows is implied by the rows that combine fewer, so such a pair is
 never generated.  Counting too many steps only raises the bound, so some
 redundant rows stay; counting too few lowers it below what the rule allows,
 drops rows the result needs, and the elimination is no longer exact.  On
-input and between steps, ``_prune_masked`` keeps one row per left-hand side
-(per equal equality), the strongest, with the AND of the masks of every row
-merged into it.  That is exact: the kept row implies each merged row, and
-its mask is a subset of each of their masks, so the bound lets through every
-combination that any of them would have made, and each such combination
-implies the one the dropped row would have made.  Keeping the stronger row
-with its own mask is unsound: the rule then drops combinations of that row
-that the weaker row's mask would have let through, and ``sat`` can answer
-true for an infeasible system.
+input and between steps, ``_prune_masked`` keeps one inequality per
+direction (its coefficients divided by their gcd, so parallel rows such as
+``3*A>=2`` and ``2*A>=1`` merge) and one row per equal equality, the
+strongest, with the AND of the masks of every row merged into it.  That is
+exact: the kept row implies each merged row, and its mask is a subset of
+each of their masks, so the bound lets through every combination that any
+of them would have made, and each such combination implies (a positive
+multiple of) the one the dropped row would have made.  Keeping the stronger
+row with its own mask is unsound: the rule then drops combinations of that
+row that the weaker row's mask would have let through, and ``sat`` can
+answer true for an infeasible system.
 
 Entailment is decided on rows: ``_entails(rows, signs, c)`` takes a pruned
 row tuple and its Farkas sign set and builds no polyhedron.  Two shortcuts
@@ -64,14 +66,15 @@ Otherwise ``c`` is implied when the rows with each negation of ``c``,
 pruned, are unsatisfiable; each such ``sat`` is stored under the same
 ``("sat", rows)`` key as ``Polyhedron.sat``.
 
-A polyhedron that contains a nonempty one is nonempty, so three
+A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
-operands are nonempty by then, and it holds both); widening's kept rows
-(they hold ``other``) and each swapped row set (it holds ``self``, which
-implies the row swapped in).  On these, ``_simplify``'s opening emptiness
-test and the ``is_empty()`` of ``entails_constraint`` after a failed sign
-test run no elimination.  Each row subset ``_simplify`` tests a row against
-holds ``self`` too, so there a failed sign test means "not implied".
+operands are nonempty by then, and it holds both) and widening's kept rows
+(they hold ``other``).  On these, ``_simplify``'s opening emptiness test and
+the ``is_empty()`` of ``entails_constraint`` after a failed sign test run no
+elimination.  Each row subset ``_simplify`` tests a row against holds
+``self``, and so does each swapped row set of widening's refinement (``self``
+implies the row swapped in), so there a failed sign test means "not
+implied", and neither builds a polyhedron.
 
 Rows derived from rows in normal form are built in normal form, without
 ``Constraint.make``: the hull's lifted rows and its ``x = y + z`` and ``s``
@@ -80,10 +83,14 @@ every number keeps the gcd, and ``#`` sorts before every character of a
 name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
 does.
 
-``sat``, ``project``, ``hull``, ``simplify`` and ``rename`` (keyed by the
-old and new dimensions) are pure functions of the dimensions and
-constraints of their operands (a ``Polyhedron`` is immutable), so inside a
-``memo()`` block each distinct call is computed once and its result reused.
+``sat``, ``entails``, ``project``, ``hull``, ``simplify`` and ``rename``
+(keyed by the old and new dimensions) are pure functions of the dimensions
+and constraints of their operands (a ``Polyhedron`` is immutable), so inside
+a ``memo()`` block each distinct call is computed once and its result
+reused.  ``entails`` checks the dimensions before the lookup and keys on
+``other``'s rows alone, which lie inside ``self``'s dimensions by then; the
+fixpoint's growth tests, its narrowing stop test and ``models``' maximal
+facts ask many pairs again.
 A renamed polyhedron inherits a known ``sat``; a simplified one is
 nonempty.  ``simplify`` is idempotent, so its result is also stored as its
 own simplification.  The block also holds the solve's deadline, which
@@ -100,6 +107,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from math import gcd
 
 from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, normal_form
 from .terms import linear_combination  # noqa: F401  (perfbench/tracing.py patches it)
@@ -204,9 +212,11 @@ def _prune(rows):
 
 def _prune_masked(rows):
     """``_prune`` for the masked ``(lhs, const, rel, mask)`` rows of
-    ``_eliminate``, ``lhs`` a packed coefficient tuple: each left-hand side
-    (for equalities, with its constant) keeps its strongest row, with the
-    AND of the masks of every row merged into it."""
+    ``_eliminate``, ``lhs`` a packed coefficient tuple: each equality (a
+    left-hand side with its constant) and each direction of inequality (a
+    left-hand side divided by the gcd of its coefficients, so that parallel
+    rows such as ``3*A>=2`` and ``2*A>=1`` merge) keeps its strongest row,
+    with the AND of the masks of every row merged into it."""
     eqs = {}
     ineqs = {}
     zero = (0,) * len(rows[0][0]) if rows else ()  # every row has one width
@@ -217,21 +227,24 @@ def _prune_masked(rows):
                 return None
             continue
         if rel == EQ:
-            table = eqs
-            key = lhs, const
-        else:
-            table = ineqs
-            key = lhs
-        old = table.setdefault(key, r)
+            # rows under one key are equal, so equally strong
+            old = eqs.setdefault((lhs, const), r)
+            if old is not r:
+                eqs[lhs, const] = old[0], old[1], old[2], old[3] & mask
+            continue
+        g = gcd(*lhs)
+        key = tuple([k // g for k in lhs]) if g > 1 else lhs
+        old = ineqs.setdefault(key, r)
         if old is r:
-            continue  # the first row of its key
-        # rows under one key of ``eqs`` are equal, so equally strong; else
-        # ``old`` is at least as strong when its constant is larger, or
-        # equal with ``old`` strict or ``r`` not
-        if old[1] > const or old[1] == const and (old[2] == LT or rel != LT):
-            table[key] = old[0], old[1], old[2], old[3] & mask
+            continue  # the first row of its direction
+        # ``lhs = g*key`` bounds ``key`` by ``-const/g``, so ``old`` is at
+        # least as strong when its constant over its gcd is larger, or equal
+        # with ``old`` strict or ``r`` not
+        mine, theirs = old[1] * g, const * gcd(*old[0])
+        if mine > theirs or mine == theirs and (old[2] == LT or rel != LT):
+            ineqs[key] = old[0], old[1], old[2], old[3] & mask
         else:
-            table[key] = lhs, const, rel, old[3] & mask
+            ineqs[key] = lhs, const, rel, old[3] & mask
     return list(eqs.values()) + list(ineqs.values())
 
 
@@ -266,11 +279,11 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     whose masks together have more than ``steps + 1`` bits.  An over-count
     of the steps only raises that bound and keeps redundant rows; an
     under-count lowers it and drops rows the result needs.  Between steps,
-    ``_prune_masked`` merges the rows of one left-hand side into the
-    strongest, with the AND of their masks: it implies each of them, and
-    its mask lets through every combination that theirs would have.  Every
-    path leaves at most one row per left-hand side.  The deadline is checked
-    on entry and once per step.
+    ``_prune_masked`` merges the inequalities of one direction (parallel
+    rows) into the strongest, with the AND of their masks: it implies each
+    of them, and its mask lets through every combination that theirs would
+    have.  Every path leaves at most one inequality per direction.  The
+    deadline is checked on entry and once per step.
 
     The variables still to eliminate are kept as the ascending column
     indices of the ``elim`` names that some input row mentions.  Columns
@@ -497,7 +510,8 @@ class Polyhedron:
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        return all(self.entails_constraint(c) for c in other.constraints)
+        return _memoized(("entails", self.dims, self.constraints, other.constraints),
+                         lambda: all(self.entails_constraint(c) for c in other.constraints))
 
     def project(self, keep) -> "Polyhedron":
         keep = tuple(keep)
@@ -569,8 +583,10 @@ class Polyhedron:
             if b in kept or not self.entails_constraint(b):
                 continue
             for a in cs1:
-                swapped = [x for x in cs1 if x != a] + [b]
-                if _nonempty(self.dims, swapped).entails_constraint(a):
+                rows = tuple(_prune([x for x in cs1 if x != a] + [b]))
+                # the swapped rows hold ``self``, so they are nonempty, and
+                # a failed sign test (None) means that they do not imply ``a``
+                if _entails(rows, _sign_set(rows), a):
                     kept.append(b)
                     break
         return _nonempty(self.dims, kept).simplify()

@@ -13,7 +13,7 @@ import pytest
 
 from dimsolve import driver, linear_solver, models, polyhedra
 from dimsolve.driver import UNKNOWN_ROW_CAP, Config, solve
-from dimsolve.polyhedra import Polyhedron, RowCapExceeded, memo
+from dimsolve.polyhedra import DimensionMismatch, Polyhedron, RowCapExceeded, memo
 
 from conftest import C, poly, random_constraint, random_poly, random_program
 
@@ -63,7 +63,8 @@ def _ops(a, b):
     """Every memoized operation on a pair, or the exception type it raised."""
     out = []
     for op in (lambda: a.sat(), lambda: a.project(("A", "C")), lambda: a.project(("B",)),
-               lambda: a.hull(b), lambda: a.simplify(), lambda: a.rename(SWAP)):
+               lambda: a.hull(b), lambda: a.simplify(), lambda: a.rename(SWAP),
+               lambda: a.entails(b), lambda: a.conjoin(b.constraints).entails(a)):
         try:
             out.append(op())
         except RowCapExceeded as e:
@@ -83,6 +84,7 @@ def test_memoized_operations_equal_computed_ones():
         computed = _ops(_fresh(a), _fresh(b))
         with memo() as table:
             first = _ops(_fresh(a), _fresh(b))
+            assert ("entails", a.dims, a.constraints, b.constraints) in table
             stored = len(table)
             second = _ops(_fresh(a), _fresh(b))
             assert len(table) == stored  # the second round only reads
@@ -178,3 +180,8 @@ def test_raised_operation_stores_nothing(monkeypatch):
         with pytest.raises(RowCapExceeded):
             a.hull(b)
         assert {key[0] for key in table} == {"sat"}
+    # ``entails`` checks the dimensions before the lookup
+    with memo() as table:
+        with pytest.raises(DimensionMismatch):
+            a.entails(poly(("B",), C({"B": -1}, 0)))
+        assert table == {}

@@ -2,6 +2,9 @@
 grid / generator oracles that also run in the randomized suites below."""
 
 import contextlib
+import functools
+import itertools
+import math
 import random
 import re
 import sys
@@ -463,9 +466,9 @@ def test_simplify_matches_reference_greedy_loop():
 
 def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # each construction that starts with ``sat`` true contains a nonempty
-    # polyhedron: the hull's lifted result, widening's kept rows and each
-    # swapped row set, and simplify's result; so do the row subsets that
-    # simplify hands to ``_entails``, where a failed sign test means "not
+    # polyhedron: the hull's lifted result, widening's kept rows and
+    # simplify's result; so do the row subsets that simplify and widening's
+    # swap test hand to ``_entails``, where a failed sign test means "not
     # implied".  Elimination must find a point in each
     marked, subsets = [], []
     nonempty, entails = polyhedra._nonempty, polyhedra._entails
@@ -476,7 +479,7 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
         return out
 
     def recording_rows(rows, signs, c):
-        if sys._getframe(1).f_code.co_name == "_simplify":
+        if sys._getframe(1).f_code.co_name in ("_simplify", "widen"):
             subsets.append(rows)
         return entails(rows, signs, c)
     monkeypatch.setattr(polyhedra, "_nonempty", recording)
@@ -703,10 +706,11 @@ def test_masked_prune_keeps_rows_chernikov_needs(text):
     assert polyhedra._eliminate(rows, {"A", "B", "C", "D", "E"}) is None
 
 
-# masked rows over a few shared left-hand sides, the constant one included,
-# so that keys repeat and masks overlap, nest and differ
+# masked rows over a few shared left-hand sides, the constant one included
+# and one parallel to another, so that keys repeat and masks overlap, nest
+# and differ
 _MASKED_ROWS = st.lists(st.tuples(
-    st.sampled_from([(0, 0), (1, 0), (1, -1), (2, 3)]),
+    st.sampled_from([(0, 0), (1, 0), (2, 0), (1, -1), (2, 3)]),
     st.integers(-2, 2), st.sampled_from([EQ, LE, LT]), st.integers(1, 15)),
     max_size=10)
 
@@ -721,7 +725,10 @@ def test_masked_prune_merges_each_key_into_its_strongest_row(rows):
         return
 
     def key(row):
-        return (row[0], row[1]) if row[2] == EQ else row[0]
+        if row[2] == EQ:
+            return row[0], row[1]
+        g = math.gcd(*row[0])
+        return tuple(k // g for k in row[0])  # the direction
     kept = {key(r): r for r in out}
     assert len(kept) == len(out)  # at most one row per key
     for r in rows:
@@ -729,9 +736,11 @@ def test_masked_prune_merges_each_key_into_its_strongest_row(rows):
             continue
         lhs, k, rel, mask = r
         o = kept[key(r)]
-        # ``lhs + o[1] o[2] 0`` implies ``lhs + k rel 0``, and the kept row's
-        # mask lets through every combination that ``r``'s would
-        assert o[1] > k or o[1] == k and (o[2] == rel or o[2] == LT)
+        # ``o`` implies ``r``: over their common direction, its bound is
+        # larger, or equal with the same or a strict relation; and the kept
+        # row's mask lets through every combination that ``r``'s would
+        mine, theirs = Fraction(o[1], math.gcd(*o[0])), Fraction(k, math.gcd(*lhs))
+        assert mine > theirs or mine == theirs and (o[2] == rel or o[2] == LT)
         assert o[3] & ~mask == 0
 
 
@@ -742,6 +751,40 @@ def test_hull_of_a_pair_that_passed_the_row_cap():
     b = poly(("A", "B", "C"), *_rows("A+4*B>1, A+2*C>= -1, A-4*C<4, 3*A+3*C=< -1"))
     h = a.hull(b)
     assert a.entails(h) and b.entails(h)
+
+
+def test_hull_that_kept_parallel_rows_passes_the_row_cap():
+    # the masked prune kept ``3*A>=2`` next to ``2*A>=1``, and the simplify
+    # after this hull's elimination raised RowCapExceeded on 212 lifted rows
+    dims = ("A", "B", "C")
+    a = poly(dims, *_rows("39*A+62*B-90*C>=39, 24*A-8*B-15*C>= -26, 6*A-2*B-9*C>= -3, "
+                          "3*A+4*B>= -2, 6*A-8*B=<3, 15*A-20*B+18*C=<15, 2*B>=1, C=<1"))
+    q = poly(dims, *_rows("A-B-2*C=2, 3*A>=2, 2*A>=1, A-4*B+2*C<4, 2*A-2*B-3*C=<3"))
+    h = a.hull(q)
+    assert len(h.constraints) == 9
+    assert a.entails(h) and q.entails(h)
+
+
+def test_hull_chain_rows_do_not_depend_on_the_order():
+    # the fixpoint puts body-free clause images first in each hull chain;
+    # that keeps every row only because each left-to-right order of a chain
+    # of nonempty operands gives the same rows
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(400):
+        dims = ("A", "B", "C")[:rng.randint(1, 3)]
+        ops = []
+        for _ in range(rng.randint(2, 4)):
+            p = random_poly(rng, dims, rng.randint(1, 3))
+            while p.is_empty():
+                p = random_poly(rng, dims, rng.randint(1, 3))
+            ops.append(p)
+        seen.update(r.rel for p in ops for r in p.constraints)
+        with memo():
+            chains = {functools.reduce(Polyhedron.hull, order)
+                      for order in itertools.permutations(ops)}
+        assert len(chains) == 1, ops
+    assert seen == {EQ, LE, LT}
 
 
 def test_hull_matches_reference_elimination(monkeypatch):
