@@ -14,6 +14,7 @@ Exit codes: 0 solved (or subcommand success), 2 unknown / not solved,
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 
@@ -36,7 +37,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    top = _Parser(prog="dimsolve")
+    top = _Parser(prog="dimsolve", description=(
+        "Solve constrained Horn clauses over linear integer arithmetic. SOLVED prints a "
+        "model over the rationals of the clauses as parsed, with strict comparisons "
+        "tightened for the integers; every integer point is a rational point, so it is "
+        "a model over the integers too. UNKNOWN can come from rational points that no "
+        "integer model needs to exclude."))
     sub = top.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="solve a set of Horn clauses")
@@ -176,9 +182,7 @@ def _run(args) -> int:
             return _fail(f"{args.file}: tree too deep")
         return 0
     cfg = Config(max_k=args.max_k, timeout_s=args.timeout_s)
-    trace = None
-    if args.trace:
-        trace = lambda msg: print(msg, file=sys.stderr)
+    trace = (lambda entry: print(json.dumps(entry), file=sys.stderr)) if args.trace else None
     try:
         outcome: SolveOutcome = solve(program, cfg, trace=trace)
     except IndexedInput as e:

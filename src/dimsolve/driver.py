@@ -17,6 +17,10 @@ polyhedral result and each clause image (``models.head_image``) the solve
 has already computed; the table is dropped when ``solve`` returns.  The
 block also holds the ``timeout_s`` deadline, which every Fourier-Motzkin
 elimination step checks, so no layer takes a deadline of its own.
+
+A level's only report is its ``SolveOutcome.stats`` entry; ``trace``, when
+given, receives it once as the level ends, also when a resource limit cuts
+the inductiveness check short.
 """
 
 from __future__ import annotations
@@ -68,28 +72,26 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
             for k in range(cfg.max_k + 1):
                 current = linearize(kdim(p, k, k), accumulated)
                 began = time.monotonic()
-                verdict = solve_linear(current, trace=trace)
-                entry = {"k": k, "clauses": len(current.clauses),
-                         "solved": verdict.solved, "seconds": time.monotonic() - began,
+                verdict = solve_linear(current)
+                entry = {"k": k, "clauses": len(current.clauses), "solved": verdict.solved,
+                         "reason": verdict.reason, "rounds": verdict.rounds,
+                         "narrowing": verdict.narrowing, "seconds": time.monotonic() - began,
                          "check_s": 0.0, "violated": None}
                 stats.append(entry)
-                if trace:
-                    linear = "solved" if verdict.solved else f"not solved: {verdict.reason}"
-                    trace(f"k={k} clauses={entry['clauses']} linear-solve={linear} "
-                          f"({entry['seconds']:.2f}s)")
-                if not verdict.solved:
-                    return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
-                assert accumulated.facts.keys().isdisjoint(verdict.model.facts)
-                accumulated.facts.update(verdict.model.facts)
-                began = time.monotonic()
-                failed = violations(accumulated, p)
-                entry["check_s"] = time.monotonic() - began
-                entry["violated"] = [c.id for c in failed]
-                if trace:
-                    trace(f"k={k}: model {'not ' if failed else 'is '}inductive "
-                          f"violated={entry['violated']} check={entry['check_s']:.2f}s")
-                if not failed:
-                    return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
+                try:
+                    if not verdict.solved:
+                        return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
+                    assert accumulated.facts.keys().isdisjoint(verdict.model.facts)
+                    accumulated.facts.update(verdict.model.facts)
+                    began = time.monotonic()
+                    failed = violations(accumulated, p)
+                    entry["check_s"] = time.monotonic() - began
+                    entry["violated"] = [c.id for c in failed]
+                    if not failed:
+                        return SolveOutcome("solved", accumulated.erase_indices(), "", k, stats)
+                finally:
+                    if trace:
+                        trace(entry)
             return SolveOutcome("unknown", None, UNKNOWN_MAX_K, cfg.max_k, stats)
         except ResourceExhausted as e:
             return SolveOutcome("unknown", None, e.reason, k, stats)

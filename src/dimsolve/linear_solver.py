@@ -13,16 +13,15 @@ false variants are already empty: the extrapolated interpretations are
 what later iterations of the outer algorithm need.
 
 A round collects each predicate's clause images and builds their hull
-chain only when the predicate grows.  The hull holds each image, and a
-closed polyhedron holds the hull exactly when it holds each image, so one
-``entails`` test per image against the old polyhedron decides growth with
-no hull.  The hull closes strict rows, so while the old polyhedron has a
-strict row (only a program built through the API gives one) the round
-builds the hull first and tests that.  A round in which no predicate grows
-returns its input state, and that ends the ascent.  The descending rounds
-(``_contributions``) build every predicate's hull chain; they start from
-that post-fixpoint and, the contributions being monotone, only shrink; they
-end at the first round that shrinks nothing.
+chain only when the predicate grows.  A polyhedron that holds each image
+holds their union, so one ``entails`` test per image against the old
+polyhedron decides growth with no hull, also for a strict row (which only
+a program built through the API gives) that the hull would close.  A round
+in which no predicate grows returns its input state, and that ends the
+ascent.  The descending rounds (``_contributions``) build every
+predicate's hull chain; they start from that post-fixpoint and, the
+contributions being monotone, only shrink; they end at the first round
+that shrinks nothing.
 
 A hull chain lists the images of body-free clauses first (``linearize``
 makes many): they never change within a solve, so the chain's prefix over
@@ -41,7 +40,8 @@ interpretation; were an empty one stored, the engine would err toward
 NotSolved, never toward a wrong Solved.
 
 Every Solved model is re-verified against the input clauses before being
-returned; a gate failure downgrades the verdict to NotSolved.  A solve runs
+returned; a gate failure downgrades the verdict to NotSolved with the
+reason ``soundness gate failed``.  A solve runs
 inside ``polyhedra.memo()``, reusing the caller's table and deadline when
 there is one.
 """
@@ -53,12 +53,13 @@ from typing import NamedTuple
 from .models import Model, head_image, satisfies_program
 from .polyhedra import Polyhedron, ResourceExhausted, memo
 from .syntax import FALSE_NAME, PredRef, Program
-from .terms import LT
 
 
 class LinearVerdict(NamedTuple):
     model: Model | None
     reason: str = ""
+    rounds: int = 0  # ascending rounds, the last one growing nothing
+    narrowing: int = 0  # descending rounds; 0 when none ran
 
     @property
     def solved(self) -> bool:
@@ -108,10 +109,7 @@ def step(p: Program, s: dict[PredRef, Polyhedron]) -> dict[PredRef, Polyhedron]:
         if old is None:
             grown[pred] = _join(polys)
             continue
-        # a closed ``old`` holds the hull exactly when it holds each image;
-        # the hull closes strict rows, so a strict ``old`` tests the hull
-        tested = [_join(polys)] if any(r.rel == LT for r in old.constraints) else polys
-        if not all(poly.entails(old) for poly in tested):
+        if not all(poly.entails(old) for poly in polys):
             grown[pred] = old.widen(old.hull(_join(polys)))
     return {**s, **grown} if grown else s
 
@@ -120,40 +118,33 @@ def _false_feasible(s: dict[PredRef, Polyhedron]) -> bool:
     return any(pred.base == FALSE_NAME for pred in s)
 
 
-def solve_linear(p: Program, trace=None) -> LinearVerdict:
+def solve_linear(p: Program) -> LinearVerdict:
     npreds = max(len(p.signatures), 1)
     total_constraints = sum(len(c.constraint) for c in p.clauses)
     max_rounds = 10 * (total_constraints + 9) + 10 * npreds
     with memo():
         state: dict[PredRef, Polyhedron] = {}
-        rounds = 0
-        while True:
+        for rounds in range(1, max_rounds + 2):
             nxt = step(p, state)
-            rounds += 1
             if nxt is state:
                 break
             state = nxt
-            if rounds > max_rounds:
-                raise NoFixpoint("fixpoint iteration failed to stabilize")
-        if trace:
-            trace(f"fixpoint after {rounds} rounds")
+        else:
+            raise NoFixpoint("fixpoint iteration failed to stabilize")
+        narrowing = 0
         if _false_feasible(state):
-            for i in range(npreds + 2):
+            for narrowing in range(1, npreds + 3):
                 refined = _contributions(p, state)
                 if refined.keys() == state.keys() and all(
                         state[q].entails(refined[q]) for q in state):
                     break
                 state = refined
-            if trace:
-                trace(f"narrowing ran {i + 1} descending rounds")
         if _false_feasible(state):
-            return LinearVerdict(None, "false variant reachable in the abstraction")
+            return LinearVerdict(None, "false variant reachable in the abstraction",
+                                 rounds, narrowing)
         model = Model()
         for pred, poly in state.items():
             model.add(pred, poly)
         if not satisfies_program(model, p):
-            if trace:
-                trace("warning: fixpoint model failed the clause re-check; "
-                      "reporting NotSolved")
-            return LinearVerdict(None, "soundness gate failed")
-        return LinearVerdict(model)
+            return LinearVerdict(None, "soundness gate failed", rounds, narrowing)
+        return LinearVerdict(model, "", rounds, narrowing)

@@ -92,7 +92,8 @@ def test_criterion_4_end_to_end_fib():
     with criterion(4, "fib benchmark solved at small k with an independently "
                       "re-checked inductive model, within 60 s"):
         began = time.monotonic()
-        program = parse(open("benchmarks/fib.pl").read())
+        with open("benchmarks/fib.pl", encoding="utf-8") as fh:
+            program = parse(fh.read())
         out = solve(program, Config())
         elapsed = time.monotonic() - began
         assert out.solved
@@ -240,7 +241,8 @@ def test_criterion_10_benchmark_sweep():
                        "within 60 s each"):
         results = {}
         for name in ("fib", "merge_sum", "doubling_sum", "tree_count"):
-            program = parse(open(f"benchmarks/{name}.pl").read())
+            with open(f"benchmarks/{name}.pl", encoding="utf-8") as fh:
+                program = parse(fh.read())
             began = time.monotonic()
             out = solve(program, Config())
             elapsed = time.monotonic() - began

@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from dimsolve.cli import main
+from dimsolve.driver import solve
 from dimsolve.parser import parse
 
 from conftest import GRAZE_SRC, false_feasible_without_narrowing
@@ -236,9 +238,17 @@ def test_emit_model(tmp_path, capsys):
 
 
 def test_trace_flag(capsys):
-    code, _, err = run_cli(["--trace", os.path.join(BENCH, "fib.pl")], capsys)
+    # one JSON object per level on stderr, each that level's stats entry
+    fib = os.path.join(BENCH, "fib.pl")
+    code, _, err = run_cli(["--trace", fib], capsys)
     assert code == 0
-    assert "k=0" in err
+    records = [json.loads(line) for line in err.splitlines()]
+    with open(fib, encoding="utf-8") as fh:
+        stats = solve(parse(fh.read())).stats
+    assert records and [r["k"] for r in records] == list(range(len(stats)))
+    assert [r.keys() for r in records] == [e.keys() for e in stats]
+    untimed = {"seconds": 0, "check_s": 0}
+    assert [{**r, **untimed} for r in records] == [{**e, **untimed} for e in stats]
 
 
 def test_installed_entry_point():

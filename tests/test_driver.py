@@ -59,7 +59,8 @@ def test_negative_max_k_rejected():
 
 
 def test_timeout():
-    out = solve(parse(open("benchmarks/fib.pl").read()), Config(timeout_s=0.0))
+    with open("benchmarks/fib.pl", encoding="utf-8") as fh:
+        out = solve(parse(fh.read()), Config(timeout_s=0.0))
     assert out.status == "unknown"
     assert out.reason == UNKNOWN_TIMEOUT
 
@@ -118,25 +119,45 @@ def test_stats_recorded(fib_bench):
 
 
 def test_stats_of_unsolved_level_have_no_check():
-    lines = []
-    out = solve(parse("false :- X=1, p(X).\np(X) :- X=1."), trace=lines.append)
+    records = []
+    out = solve(parse("false :- X=1, p(X).\np(X) :- X=1."), trace=records.append)
     assert [(e["violated"], e["check_s"]) for e in out.stats] == [(None, 0.0)]
-    assert ("linear-solve=not solved: false variant reachable in the abstraction"
-            in lines[-1])
+    assert records == list(out.stats)
+    assert not records[-1]["solved"]
+    assert records[-1]["reason"] == "false variant reachable in the abstraction"
 
 
 def test_tree3_deep_ends_max_k(tree3):
-    lines = []
-    out = solve(tree3, Config(max_k=4), trace=lines.append)
+    records = []
+    out = solve(tree3, Config(max_k=4), trace=records.append)
     assert out.status == "unknown"
     assert out.reason == UNKNOWN_MAX_K
     assert out.k_reached == 4
     assert [e["violated"] for e in out.stats] == [[2], [2], [3], [3], [3]]
     # each level solves only its own clauses
     assert [e["clauses"] for e in out.stats] == [4, 8, 11, 13, 14]
-    checks = [line for line in lines if "inductive" in line]
-    assert len(checks) == 5
-    assert checks[2].startswith("k=2: model not inductive violated=[3] check=")
+    # each level's record reaches ``trace`` once, after its check ran
+    assert records == list(out.stats)
+    assert all(r["solved"] and r["check_s"] >= 0 for r in records)
+    assert (records[2]["k"], records[2]["violated"]) == (2, [3])
+
+
+def test_every_stats_entry_reaches_trace_once(monkeypatch, fib_bench):
+    # a resource limit that cuts level 1's check short still reports it
+    checks = []
+
+    def check(model, p, violations=driver.violations):
+        checks.append(model)
+        if len(checks) == 2:
+            raise polyhedra.SolverTimeout
+        return violations(model, p)
+    monkeypatch.setattr(driver, "violations", check)
+    records = []
+    out = solve(fib_bench, Config(), trace=records.append)
+    assert (out.reason, out.k_reached) == (UNKNOWN_TIMEOUT, 1)
+    assert len(out.stats) == 2
+    assert [id(r) for r in records] == [id(e) for e in out.stats]
+    assert records[1]["solved"] and records[1]["violated"] is None
 
 
 def test_fib_eq_renamings_end_not_solved():

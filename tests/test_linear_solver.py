@@ -1,6 +1,8 @@
+import inspect
 import random
 
 from dimsolve import linear_solver
+from dimsolve.driver import solve
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear, step
 from dimsolve.models import (Model, head_image, linearize, satisfies_program,
@@ -26,13 +28,25 @@ def test_solves_nonlinear_program(fib, fib_bench):
 
 
 def test_soundness_gate_failure_goes_to_trace(monkeypatch, capsys, fib_bench):
+    # the verdict's reason is the only report, and the level's record carries it
     monkeypatch.setattr(linear_solver, "satisfies_program", lambda model, p: False)
-    lines = []
-    assert solve_linear(fib_bench, trace=lines.append).reason == "soundness gate failed"
     assert solve_linear(fib_bench).reason == "soundness gate failed"
+    records = []
+    out = solve(fib_bench, trace=records.append)
     assert capsys.readouterr().err == ""
-    assert lines[-1] == ("warning: fixpoint model failed the clause re-check; "
-                         "reporting NotSolved")
+    assert records == list(out.stats)
+    assert (records[-1]["solved"], records[-1]["reason"]) == (
+        False, "soundness gate failed")
+
+
+def test_verdict_counts_its_rounds():
+    verdict = solve_linear(parse(GRAZE_SRC))
+    assert verdict.solved
+    assert verdict.rounds > 0 and verdict.narrowing > 0
+
+
+def test_solve_linear_takes_no_trace():
+    assert list(inspect.signature(solve_linear).parameters) == ["p"]
 
 
 def test_step_from_empty_fires_facts_only(fib):
@@ -275,19 +289,14 @@ def _strict_program():
     return Program.from_clauses([base, rec])
 
 
-def test_strict_row_grows_through_its_closed_hull(monkeypatch):
-    # both images equal the strict polyhedron, but their hull closes A < 1
-    # to A =< 1 and leaves it, so the round widens the strict row away
+def test_strict_row_holding_each_image_does_not_grow():
+    # both images equal the strict polyhedron, which therefore holds their
+    # union: it is a post-fixpoint, though their hull closes A < 1 to A =< 1
     program = _strict_program()
-    p = PredRef("p")
-    rounds = _compared_step(monkeypatch)
-    first = linear_solver.step(program, {})
-    assert first[p] == poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -1, LT),
-                            C({"B": 1}, 0, EQ))
-    second = linear_solver.step(program, first)
-    assert second[p] == poly(("A", "B"), C({"A": -1}, 0), C({"B": 1}, 0, EQ))
-    assert linear_solver.step(program, second) is second
-    assert rounds[0] == 3
+    first = step(program, {})
+    assert first[PredRef("p")] == poly(("A", "B"), C({"A": -1}, 0),
+                                       C({"A": 1}, -1, LT), C({"B": 1}, 0, EQ))
+    assert step(program, first) is first
 
 
 def test_narrowing_rounds_only_shrink(monkeypatch, fib, tree3):
