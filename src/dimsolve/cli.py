@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="solve a set of Horn clauses")
     s.add_argument("file")
-    s.add_argument("--max-k", type=int, default=8)
+    s.add_argument("--max-k", type=int, default=Config._field_defaults["max_k"])
     s.add_argument("--timeout-s", type=float, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--emit-model", metavar="PATH")

@@ -18,9 +18,9 @@ has already computed; the table is dropped when ``solve`` returns.  The
 block also holds the ``timeout_s`` deadline, which every Fourier-Motzkin
 elimination step checks, so no layer takes a deadline of its own.
 
-A level's only report is its ``SolveOutcome.stats`` entry; ``trace``, when
-given, receives it once as the level ends, also when a resource limit cuts
-the inductiveness check short.
+A level's only report is its ``SolveOutcome.stats`` entry, appended as the
+level starts and filled in as its layers return; ``trace``, when given,
+receives it once as the level ends, also when a resource limit cuts it short.
 """
 
 from __future__ import annotations
@@ -70,15 +70,18 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
     with memo(deadline):
         try:
             for k in range(cfg.max_k + 1):
-                current = linearize(kdim(p, k, k), accumulated)
-                began = time.monotonic()
-                verdict = solve_linear(current)
-                entry = {"k": k, "clauses": len(current.clauses), "solved": verdict.solved,
-                         "reason": verdict.reason, "rounds": verdict.rounds,
-                         "narrowing": verdict.narrowing, "seconds": time.monotonic() - began,
-                         "check_s": 0.0, "violated": None}
+                level = kdim(p, k, k)
+                entry = {"k": k, "clauses": None, "solved": False, "reason": "", "rounds": None,
+                         "narrowing": None, "seconds": 0.0, "check_s": 0.0, "violated": None}
                 stats.append(entry)
                 try:
+                    current = linearize(level, accumulated)
+                    entry["clauses"] = len(current.clauses)
+                    began = time.monotonic()
+                    verdict = solve_linear(current)
+                    entry.update(solved=verdict.solved, reason=verdict.reason,
+                                 rounds=verdict.rounds, narrowing=verdict.narrowing,
+                                 seconds=time.monotonic() - began)
                     if not verdict.solved:
                         return SolveOutcome("unknown", None, UNKNOWN_NOT_SOLVED, k, stats)
                     assert accumulated.facts.keys().isdisjoint(verdict.model.facts)

@@ -9,7 +9,8 @@ decided exactly over the rationals: for every choice of one disjunct per body
 atom, the body's image in the head arguments must be covered by the
 disjunction of head facts, checked by recursive region subtraction.  Head
 facts constrain only the head arguments, so covering the projected body is
-the same as covering the body itself.
+the same as covering the body itself.  Regions are pruned row tuples, not
+polyhedra, each asked through the ``("sat", rows)`` entry ``Polyhedron.sat`` uses.
 
 The inductiveness check (``violations``) first reduces the index-erased
 model to its maximal facts, dropping each fact entailed by another fact of
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .polyhedra import Polyhedron, ResourceExhausted, _memoized
+from .polyhedra import Polyhedron, ResourceExhausted, _memoized, _prune, _row_entails, _sat
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
                      render_atom)
-from .terms import Constraint
 
 _SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
@@ -141,27 +141,27 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
     """True iff every rational point of ``body`` lies in some head region.
 
     Region subtraction: peel each head region off the body; covered iff
-    nothing satisfiable remains.
+    nothing satisfiable remains.  Regions are pruned row tuples.
     """
-    regions = [body]
+    regions = [body.constraints]
     created = 0
     for head in heads:
         next_regions = []
         for r in regions:
-            prefix: list[Constraint] = []
+            prefix = ()
             for c in head.constraints:
-                if r.row_entails(c):
-                    prefix.append(c)  # every piece of ``c`` would be empty
+                if _row_entails(r, c):
+                    prefix += (c,)  # every piece of ``c`` would be empty
                     continue
                 for neg in c.negations():
-                    piece = r.conjoin(prefix + [neg])
+                    piece = _prune(r + prefix + (neg,))
                     created += 1
                     if created > _SPLIT_BUDGET:
                         raise SplitBudgetExceeded(
                             "region subtraction split budget exceeded")
-                    if piece.sat():
+                    if piece is not None and _sat(piece):
                         next_regions.append(piece)
-                prefix.append(c)
+                prefix += (c,)
         regions = next_regions
         if not regions:
             return True
@@ -212,8 +212,9 @@ def linearize(p_next: Program, s: Model) -> Program:
     """Substitute the solved interpretations for every body atom below the
     top dimension level of ``p_next``; one clause per disjunct combination,
     unsatisfiable results dropped, constraints projected onto the variables
-    still in use.  The output is linear when ``p_next`` is ``kdim(p, k, k)``,
-    the clauses of the level one above the model ``s``."""
+    still in use and left unsimplified (the fixpoint simplifies what it
+    keeps).  The output is linear when ``p_next`` is ``kdim(p, k, k)``, the
+    clauses of the level one above the model ``s``."""
     level = max((pred.d for pred in p_next.signatures if pred.indexed), default=0)
     out: list[Clause] = []
     for c in p_next.clauses:
@@ -228,6 +229,6 @@ def linearize(p_next: Program, s: Model) -> Program:
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
             image = _image(c, zip(substitute, choice), used)
             if image is not None:
-                out.append(Clause(0, c.head, image.simplify().constraints, tuple(keep),
+                out.append(Clause(0, c.head, image.constraints, tuple(keep),
                                   provenance=c.provenance))
     return Program.from_clauses(out)

@@ -12,7 +12,7 @@ its input rows once, with ``terms`` as a tuple of one integer coefficient
 per name, over the sorted names of the input rows.  It combines
 them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
-dominated ``Constraint`` rows for ``Polyhedron``; ``_eliminate`` prunes its
+dominated ``Constraint`` rows for polyhedra and regions; ``_eliminate`` prunes its
 packed rows with ``_prune_masked``, on input and after each step.  The
 elimination order is fixed by the names: equalities first, substituting away
 the smallest-named variable that an equality mentions, through the first
@@ -188,7 +188,7 @@ def _is_false(const, rel) -> bool:
     return rel == EQ and const != 0 or rel == LE and const > 0 or rel == LT and const >= 0
 
 
-def _prune(rows):
+def _prune(rows) -> tuple | None:
     """Drop trivial and dominated ``Constraint`` rows; None when a
     contradiction is found."""
     eqs = {}
@@ -207,7 +207,7 @@ def _prune(rows):
             if old is None or (const, rel == LT) > (old[1], old[2] == LT):
                 ineqs[lhs] = r
     # each group in the order of its ``Constraint`` tuples
-    return sorted(eqs.values()) + sorted(ineqs.values())
+    return tuple(sorted(eqs.values()) + sorted(ineqs.values()))
 
 
 def _prune_masked(rows):
@@ -429,7 +429,7 @@ def _entails(rows: tuple, signs: set, c: Constraint) -> bool | None:
         return None
     for n in c.negations():
         more = _prune(rows + (n,))
-        if more is not None and _sat(tuple(more)):
+        if more is not None and _sat(more):
             return False
     return True
 
@@ -459,13 +459,13 @@ class Polyhedron:
             repeated = next(d for i, d in enumerate(self.dims) if d in self.dims[:i])
             raise DimensionMismatch(f"dimension {repeated!r} repeated")
         self._signs = None
-        rows = _prune(list(constraints))
+        rows = _prune(constraints)
         if rows is None:
             self.constraints = (FALSE_CONSTRAINT,)
             self._sat = False
         else:
             _check_dims((t for r in rows for t in r.terms), self.dims)
-            self.constraints = tuple(rows)
+            self.constraints = rows
             self._sat = None
 
     @staticmethod
@@ -485,17 +485,11 @@ class Polyhedron:
 
     def rename(self, mapping: dict[str, str]) -> "Polyhedron":
         dims = tuple(mapping.get(d, d) for d in self.dims)
-        if len(set(dims)) != len(dims):
-            raise DimensionMismatch("renaming collapses dimensions")
         out = _memoized(("rename", self.dims, self.constraints, dims),
                         lambda: Polyhedron(dims, [c.rename(mapping) for c in self.constraints]))
         if out._sat is None:
             out._sat = self._sat
         return out
-
-    def row_entails(self, c: Constraint) -> bool:
-        """Whether a single row implies ``c`` (``_row_entails``)."""
-        return _row_entails(self.constraints, c)
 
     def entails_constraint(self, c: Constraint) -> bool:
         if self._signs is None:
@@ -583,7 +577,7 @@ class Polyhedron:
             if b in kept or not self.entails_constraint(b):
                 continue
             for a in cs1:
-                rows = tuple(_prune([x for x in cs1 if x != a] + [b]))
+                rows = _prune([x for x in cs1 if x != a] + [b])
                 # the swapped rows hold ``self``, so they are nonempty, and
                 # a failed sign test (None) means that they do not imply ``a``
                 if _entails(rows, _sign_set(rows), a):
@@ -599,7 +593,7 @@ class Polyhedron:
             return Polyhedron.bottom(self.dims)
         # pruned, so each row subset is pruned too; reversed, the rows are
         # the inequalities, then the equalities, each from the largest down
-        kept = tuple(_prune(_recombine(self.constraints)))
+        kept = _prune(_recombine(self.constraints))
         for c in kept[::-1]:
             rest = tuple([k for k in kept if k != c])
             # ``rest`` holds ``self``, so it is nonempty, and a failed sign

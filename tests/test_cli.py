@@ -251,6 +251,15 @@ def test_trace_flag(capsys):
     assert [{**r, **untimed} for r in records] == [{**e, **untimed} for e in stats]
 
 
+def test_trace_reports_a_level_cut_in_linearize(capsys):
+    # the deadline has passed before level 0's linearization returns
+    code, out, err = run_cli(["--trace", "--timeout-s", "0",
+                              os.path.join(BENCH, "fib.pl")], capsys)
+    assert (code, out) == (2, "UNKNOWN timeout\n")
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [(r["k"], r["clauses"], r["solved"]) for r in records] == [(0, None, False)]
+
+
 def test_installed_entry_point():
     # Run the ``dimsolve`` console script declared in pyproject.toml the way
     # the generated wrapper does (``sys.exit(main())`` with the file as

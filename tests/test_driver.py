@@ -214,6 +214,13 @@ def test_timeout_in_check_and_linearize(fib_bench, monkeypatch, layer, k):
     assert out.status == "unknown"
     assert out.reason == UNKNOWN_TIMEOUT
     assert out.k_reached == k
+    # the cut level keeps an entry: the check's level was solved, and the
+    # level cut in linearize has no clauses and no linear verdict
+    assert [e["k"] for e in out.stats] == list(range(k + 1))
+    last = out.stats[-1]
+    assert (last["solved"], last["violated"]) == (layer == "violations", None)
+    if layer == "linearize":
+        assert (last["clauses"], last["rounds"], last["narrowing"]) == (None, None, None)
 
 
 def test_nullary_predicates_end_to_end():

@@ -6,6 +6,7 @@ import pytest
 
 from dimsolve import models
 from dimsolve.kdim import kdim
+from dimsolve.linear_solver import solve_linear
 from dimsolve.models import (Model, SplitBudgetExceeded, inductive, linearize,
                              satisfies_clause, violations)
 from dimsolve.parser import parse
@@ -96,6 +97,29 @@ def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
     m = model_of(*((PredRef(name), interval(0, 9)) for name in ("q", "r")))
     monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)
     assert satisfies_clause(m, p.clauses[0])
+
+
+def test_region_pieces_build_no_polyhedron(monkeypatch):
+    # the image 0 =< A =< 9 less the first fact leaves the piece A > 4, which
+    # the second fact covers; with the image stored, the check builds nothing
+    p = parse("r(Y) :- Y = X, q(X).")
+    m = model_of((PredRef("q"), interval(0, 9)),
+                 *((PredRef("r"), r) for r in (interval(0, 4), interval(4, 9))))
+    built = []
+    init = Polyhedron.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with memo():
+        assert satisfies_clause(m, p.clauses[0])
+        monkeypatch.setattr(Polyhedron, "__init__", counted)
+        assert satisfies_clause(m, p.clauses[0])
+        monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)  # a piece is made
+        with pytest.raises(SplitBudgetExceeded):
+            satisfies_clause(m, p.clauses[0])
+    assert built == []
 
 
 def box(a_lo, a_hi, b_lo, b_hi):
@@ -238,6 +262,16 @@ def test_linearize_excerpt_clauses():
         C({"A": 1, c: -1}, -2, EQ), C({"B": 1, d: -1, "A": -1}, 1, EQ),
     ])
     assert got.entails(expected) and expected.entails(got)
+
+
+def test_linearize_simplifies_nothing(fib):
+    # the rows are the projection as computed; the fixpoint simplifies what
+    # it keeps
+    acc = solve_linear(kdim(fib, 0)).model
+    with memo() as table:
+        out = linearize(kdim(fib, 1, 1), acc)
+    assert out.clauses
+    assert not [key for key in table if key[0] == "simplify"]
 
 
 def test_linearize_empty_interpretation_drops_clause():

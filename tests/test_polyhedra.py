@@ -17,7 +17,8 @@ from hypothesis import given, strategies as st
 from dimsolve import polyhedra
 from dimsolve.models import Model
 from dimsolve.parser import _Parser
-from dimsolve.polyhedra import DimensionMismatch, Polyhedron, SolverTimeout, memo
+from dimsolve.polyhedra import (DimensionMismatch, Polyhedron, SolverTimeout, _row_entails,
+                                 memo)
 from dimsolve.terms import EQ, FALSE_CONSTRAINT as FALSE, LE, LT, Constraint, linear_combination
 
 from conftest import C, grid_points, poly, random_constraint, random_poly
@@ -91,7 +92,7 @@ def test_row_entails_agrees_with_fourier_motzkin():
             single = [r for r in p.constraints
                       if r.terms == c.terms and (c.rel == EQ or r.rel != EQ)]
             by_row = any(_fm_entails(Polyhedron(dims, [r]), c) for r in single)
-            assert p.row_entails(c) == by_row
+            assert _row_entails(p.constraints, c) == by_row
             if by_row:
                 implied += 1
                 assert _fm_entails(p, c)
@@ -108,8 +109,9 @@ def test_repeated_dimension_rejected():
         Polyhedron(("A", "B", "A"))
     with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
         poly(("A", "B"), C({"A": 1, "B": -1}, 0)).project(("A", "A"))
-    # a model fact repeating an argument names it, where it failed later
-    # with "renaming collapses dimensions"
+    with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
+        poly(("A", "B"), C({"A": 1, "B": -1}, 0)).rename({"B": "A"})
+    # a model fact repeating an argument
     with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
         Model.parse("p(A, A) :- [A >= 0].")
 
