@@ -29,18 +29,14 @@ import time
 from typing import NamedTuple
 
 from .kdim import kdim
-from .linear_solver import NoFixpoint, solve_linear
-from .models import Model, SplitBudgetExceeded, linearize, violations
+from .linear_solver import solve_linear
+from .models import Model, linearize, violations
 from .models import inductive  # noqa: F401  (perfbench/tracing.py patches it)
-from .polyhedra import ResourceExhausted, RowCapExceeded, SolverTimeout, memo
+from .polyhedra import ResourceExhausted, memo
 from .syntax import Program
 
 UNKNOWN_NOT_SOLVED = "not-solved"
 UNKNOWN_MAX_K = "max-k"
-UNKNOWN_TIMEOUT = SolverTimeout.reason
-UNKNOWN_ROW_CAP = RowCapExceeded.reason
-UNKNOWN_NO_FIXPOINT = NoFixpoint.reason
-UNKNOWN_SPLIT_BUDGET = SplitBudgetExceeded.reason
 
 
 class Config(NamedTuple):
@@ -64,6 +60,8 @@ def solve(p: Program, cfg: Config | None = None, trace=None) -> SolveOutcome:
     cfg = cfg or Config()
     if cfg.max_k < 0:
         raise ValueError("max_k must be nonnegative")
+    if cfg.timeout_s is not None and not cfg.timeout_s >= 0:  # NaN fails too
+        raise ValueError("timeout_s must be a nonnegative number")
     deadline = time.monotonic() + cfg.timeout_s if cfg.timeout_s is not None else None
     stats: list[dict] = []
     accumulated = Model()

@@ -18,18 +18,24 @@ the same predicate.  That is exact: the union of head facts is unchanged,
 and a body combination using a dropped fact has its head image inside the
 image of the same combination using the fact that entails it.
 
-Inside a ``polyhedra.memo()`` block, ``head_image`` stores each image,
-None included, in the block's table.  An image is a pure function of what
-``Clause.__eq__`` compares and of the chosen ``(atom, polyhedron)`` pairs,
-so the fixpoint rounds, the soundness gate and ``violations`` of one solve
-compute each distinct image once.
+Clause images are built from rows: ``_image`` prunes the clause constraint
+with each chosen fact's rows renamed onto the atom's arguments and projects
+them (``polyhedra._project``).  ``linearize`` emits those rows, and
+``head_image`` builds one polyhedron, the image it keeps.  Inside a
+``polyhedra.memo()`` block, ``head_image`` stores each image, None
+included, in the table that also reuses each distinct ``sat``, ``entails``,
+``project``, ``hull`` and ``simplify`` call.  An image is a pure function
+of what ``Clause.__eq__`` compares and of the chosen ``(atom, polyhedron)``
+pairs, so the fixpoint rounds, the soundness gate and ``violations`` of
+one solve compute each distinct image once.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .polyhedra import Polyhedron, ResourceExhausted, _memoized, _prune, _row_entails, _sat
+from .polyhedra import (Polyhedron, ResourceExhausted, _memoized, _nonempty, _project,
+                        _prune, _row_entails, _sat)
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
                      render_atom)
 
@@ -94,25 +100,21 @@ class Model:
         return m
 
 
-def clause_body(clause: Clause, chosen) -> Polyhedron:
-    """The clause constraint conjoined with every ``(atom, polyhedron)`` pair
-    of ``chosen``, each polyhedron renamed from its dims onto the atom's
-    arguments, over ``clause.vars()``."""
+def _image(clause: Clause, chosen, keep: tuple) -> tuple | None:
+    """The clause constraint and the rows of each ``(atom, polyhedron)`` of
+    ``chosen``, renamed from its dims onto the atom's arguments, projected
+    onto ``keep``; None when unsatisfiable.  The projection is tested: it
+    has fewer variables, and it is empty exactly when the body is."""
     rows = list(clause.constraint)
     for atom, poly in chosen:
         if len(poly.dims) != len(atom.args):
             raise ValueError(f"arity mismatch for {atom.pred!r}")
         mapping = dict(zip(poly.dims, (v.name for v in atom.args)))
         rows.extend(c.rename(mapping) for c in poly.constraints)
-    return Polyhedron(clause.vars(), rows)
-
-
-def _image(clause: Clause, chosen, keep) -> Polyhedron | None:
-    """``clause_body`` projected onto ``keep``; None when it is empty.  The
-    projection is tested rather than the body: it has fewer dimensions, and
-    it is empty exactly when the body is."""
-    image = clause_body(clause, chosen).project(keep)
-    return None if image.is_empty() else image
+    rows = _prune(rows)
+    if rows is not None:
+        rows = _project(rows, keep)
+    return rows if rows is not None and _sat(rows) else None
 
 
 def head_image(clause: Clause, chosen) -> Polyhedron | None:
@@ -124,12 +126,12 @@ def head_image(clause: Clause, chosen) -> Polyhedron | None:
 
 
 def _head_image(clause: Clause, chosen) -> Polyhedron | None:
-    head_vars = [v.name for v in clause.head.args]
-    image = _image(clause, chosen, head_vars)
-    if image is None:
+    head_vars = tuple(v.name for v in clause.head.args)
+    rows = _image(clause, chosen, head_vars)
+    if rows is None:
         return None
-    params = canonical_params(len(head_vars))
-    return image.rename(dict(zip(head_vars, (v.name for v in params))))
+    mapping = {v: p.name for v, p in zip(head_vars, canonical_params(len(head_vars)))}
+    return _nonempty(tuple(mapping.values()), [c.rename(mapping) for c in rows])
 
 
 class SplitBudgetExceeded(ResourceExhausted):
@@ -225,10 +227,9 @@ def linearize(p_next: Program, s: Model) -> Program:
                 substitute.append(a)
             else:
                 keep.append(a)
-        used = list(dict.fromkeys(v.name for a in (c.head, *keep) for v in a.args))
+        used = tuple(dict.fromkeys(v.name for a in (c.head, *keep) for v in a.args))
         for choice in product(*(s.facts_for(a.pred) for a in substitute)):
-            image = _image(c, zip(substitute, choice), used)
-            if image is not None:
-                out.append(Clause(0, c.head, image.constraints, tuple(keep),
-                                  provenance=c.provenance))
+            rows = _image(c, zip(substitute, choice), used)
+            if rows is not None:
+                out.append(Clause(0, c.head, rows, tuple(keep), provenance=c.provenance))
     return Program.from_clauses(out)

@@ -222,6 +222,10 @@ class _Parser:
             return {}, val
         if t.kind == "VAR":
             if self.peek().text == "*":
+                k = self.peek(1)
+                if k.kind == "INT":
+                    raise ParseError(f"coefficient after the variable: write "
+                                     f"{k.text}*{t.text}", t.line, t.col)
                 raise ParseError("non-linear arithmetic term: variable products are "
                                  "not supported", t.line, t.col)
             return {t.text: sign}, 0

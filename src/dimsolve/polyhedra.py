@@ -83,19 +83,20 @@ every number keeps the gcd, and ``#`` sorts before every character of a
 name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
 does.
 
-``sat``, ``entails``, ``project``, ``hull``, ``simplify`` and ``rename``
-(keyed by the old and new dimensions) are pure functions of the dimensions
-and constraints of their operands (a ``Polyhedron`` is immutable), so inside
-a ``memo()`` block each distinct call is computed once and its result
-reused.  ``entails`` checks the dimensions before the lookup and keys on
-``other``'s rows alone, which lie inside ``self``'s dimensions by then; the
-fixpoint's growth tests, its narrowing stop test and ``models``' maximal
-facts ask many pairs again.
-A renamed polyhedron inherits a known ``sat``; a simplified one is
-nonempty.  ``simplify`` is idempotent, so its result is also stored as its
-own simplification.  The block also holds the solve's deadline, which
-``_eliminate`` checks on entry and once per elimination step, so the
-deadline holds inside a single hull or clause check.
+``sat``, ``entails``, ``project``, ``hull`` and ``simplify`` are pure
+functions of the dimensions and constraints of their operands (a
+``Polyhedron`` is immutable), so inside a ``memo()`` block each distinct
+call is computed once and its result reused.  ``entails`` checks the
+dimensions before the lookup and keys on ``other``'s rows alone, which lie
+inside ``self``'s dimensions by then; the fixpoint's growth tests, its
+narrowing stop test and ``models``' maximal facts ask many pairs again.
+``_project`` works on rows, stored under ``("project", rows, keep)``, so
+``models`` projects a clause body without building a polyhedron for it.
+A simplified polyhedron is nonempty.  ``simplify`` is idempotent, so its
+result is also stored as its own simplification.  The block also holds the
+solve's deadline, which ``_eliminate`` checks on entry and once per
+elimination step, so the deadline holds inside a single hull or clause
+check.
 ``models.head_image`` stores its clause images in the same table.  Table
 and deadline live in context variables: nested blocks share them, and the
 outermost block drops both on exit.  Outside a block nothing is stored and
@@ -399,6 +400,17 @@ def _sat(rows: tuple) -> bool:
         list(rows), {v for r in rows for v, _ in r.terms}) is not None)
 
 
+def _project(rows: tuple, keep: tuple) -> tuple | None:
+    """The pruned rows ``rows`` with every variable outside ``keep``
+    eliminated, pruned; None when a contradiction turns up.  Memoized under
+    ``("project", rows, keep)``.  ``rows`` come in ``_prune``'s order, as a
+    polyhedron stores them: ``_eliminate`` picks equalities in row order."""
+    def compute():
+        out = _eliminate(list(rows), {v for r in rows for v, _ in r.terms}.difference(keep))
+        return None if out is None else _prune(out)
+    return _memoized(("project", rows, keep), compute)
+
+
 def _row_entails(rows, c: Constraint) -> bool:
     """Whether a single row of ``rows`` implies ``c``: ``c`` itself, or for
     an inequality ``c`` a non-equality row with the same terms and a bound
@@ -480,16 +492,11 @@ class Polyhedron:
     def is_empty(self) -> bool:
         return not self.sat()
 
-    def conjoin(self, extra) -> "Polyhedron":
-        return Polyhedron(self.dims, self.constraints + tuple(extra))
-
     def rename(self, mapping: dict[str, str]) -> "Polyhedron":
         dims = tuple(mapping.get(d, d) for d in self.dims)
-        out = _memoized(("rename", self.dims, self.constraints, dims),
-                        lambda: Polyhedron(dims, [c.rename(mapping) for c in self.constraints]))
-        if out._sat is None:
-            out._sat = self._sat
-        return out
+        if dims == self.dims:
+            return self  # the rows mention only dims, so none changes
+        return Polyhedron(dims, [c.rename(mapping) for c in self.constraints])
 
     def entails_constraint(self, c: Constraint) -> bool:
         if self._signs is None:
@@ -511,14 +518,8 @@ class Polyhedron:
         keep = tuple(keep)
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
-        return _memoized(("project", self.dims, self.constraints, keep),
-                         lambda: self._project(keep))
-
-    def _project(self, keep: tuple) -> "Polyhedron":
-        rows = _eliminate(list(self.constraints), set(self.dims) - set(keep))
-        if rows is None:
-            return Polyhedron.bottom(keep)
-        return Polyhedron(keep, rows)
+        rows = _project(self.constraints, keep)
+        return Polyhedron.bottom(keep) if rows is None else Polyhedron(keep, rows)
 
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         if set(self.dims) != set(other.dims):

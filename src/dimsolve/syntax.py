@@ -124,15 +124,6 @@ class Program(NamedTuple):
                         f"predicate {a.pred!r} used with arity {len(a.args)} and {old}")
         return Program(clauses, sigs)
 
-    def erase_indices(self) -> "Program":
-        """Drop dimension annotations from every atom."""
-        def erase_atom(a: Atom) -> Atom:
-            return Atom(a.pred.erase(), a.args)
-
-        return Program.from_clauses(
-            c._replace(head=erase_atom(c.head), body=tuple(erase_atom(a) for a in c.body))
-            for c in self.clauses)
-
     def __repr__(self):
         return render_program(self)
 

@@ -206,8 +206,8 @@ def test_criterion_9_linear_engine_properties():
                     assert q.eval_point({k: pt[k] for k in ("x", "y")})
             for pt in grid_points(("x", "y"), -2, 2):
                 if q.eval_point(pt):
-                    assert p.conjoin(
-                        [Constraint.make({k: 1}, -pt[k], EQ) for k in ("x", "y")]).sat()
+                    assert Polyhedron(p.dims, p.constraints + tuple(
+                        Constraint.make({k: 1}, -pt[k], EQ) for k in ("x", "y"))).sat()
             cases += 1
         for _ in range(100):  # hull contains both arguments
             a = random_poly(rng, ("x", "y"))

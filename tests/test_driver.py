@@ -6,13 +6,12 @@ import time
 import pytest
 
 from dimsolve import driver, linear_solver, models, polyhedra
-from dimsolve.driver import (Config, UNKNOWN_MAX_K, UNKNOWN_NO_FIXPOINT,
-                             UNKNOWN_NOT_SOLVED, UNKNOWN_ROW_CAP,
-                             UNKNOWN_SPLIT_BUDGET, UNKNOWN_TIMEOUT, solve)
+from dimsolve.driver import Config, UNKNOWN_MAX_K, UNKNOWN_NOT_SOLVED, solve
 from dimsolve.kdim import clause_count, kdim
-from dimsolve.linear_solver import solve_linear
-from dimsolve.models import inductive, linearize, satisfies_clause
+from dimsolve.linear_solver import NoFixpoint, solve_linear
+from dimsolve.models import SplitBudgetExceeded, inductive, linearize, satisfies_clause
 from dimsolve.parser import parse
+from dimsolve.polyhedra import RowCapExceeded, SolverTimeout
 
 from conftest import random_program
 
@@ -58,18 +57,25 @@ def test_negative_max_k_rejected():
         solve(parse("p(X) :- X = 0."), Config(max_k=-1))
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), -1.0])
+def test_nan_or_negative_timeout_rejected(timeout_s):
+    # no clock reading is ever later than NaN, so a NaN deadline never holds
+    with pytest.raises(ValueError, match="timeout_s must be a nonnegative number"):
+        solve(parse("p(X) :- X = 0."), Config(timeout_s=timeout_s))
+
+
 def test_timeout():
     with open("benchmarks/fib.pl", encoding="utf-8") as fh:
         out = solve(parse(fh.read()), Config(timeout_s=0.0))
     assert out.status == "unknown"
-    assert out.reason == UNKNOWN_TIMEOUT
+    assert out.reason == SolverTimeout.reason
 
 
 # Each resource cap, forced to trip: (module, attribute, value, reason).
 CAPS = [
-    (polyhedra, "_ROW_CAP", 0, UNKNOWN_ROW_CAP),
-    (linear_solver, "step", lambda p, s: dict(s), UNKNOWN_NO_FIXPOINT),
-    (models, "_SPLIT_BUDGET", 0, UNKNOWN_SPLIT_BUDGET),
+    (polyhedra, "_ROW_CAP", 0, RowCapExceeded.reason),
+    (linear_solver, "step", lambda p, s: dict(s), NoFixpoint.reason),
+    (models, "_SPLIT_BUDGET", 0, SplitBudgetExceeded.reason),
 ]
 
 
@@ -149,12 +155,12 @@ def test_every_stats_entry_reaches_trace_once(monkeypatch, fib_bench):
     def check(model, p, violations=driver.violations):
         checks.append(model)
         if len(checks) == 2:
-            raise polyhedra.SolverTimeout
+            raise SolverTimeout
         return violations(model, p)
     monkeypatch.setattr(driver, "violations", check)
     records = []
     out = solve(fib_bench, Config(), trace=records.append)
-    assert (out.reason, out.k_reached) == (UNKNOWN_TIMEOUT, 1)
+    assert (out.reason, out.k_reached) == (SolverTimeout.reason, 1)
     assert len(out.stats) == 2
     assert [id(r) for r in records] == [id(e) for e in out.stats]
     assert records[1]["solved"] and records[1]["violated"] is None
@@ -212,7 +218,7 @@ def test_timeout_in_check_and_linearize(fib_bench, monkeypatch, layer, k):
     monkeypatch.setattr(driver, layer, jump)
     out = solve(fib_bench, Config(timeout_s=1.0))
     assert out.status == "unknown"
-    assert out.reason == UNKNOWN_TIMEOUT
+    assert out.reason == SolverTimeout.reason
     assert out.k_reached == k
     # the cut level keeps an entry: the check's level was solved, and the
     # level cut in linearize has no clauses and no linear verdict

@@ -120,14 +120,6 @@ def test_rejects_lowest_outside_levels(fib, k, lowest):
         kdim(fib, k, lowest)
 
 
-def test_erase_indices_program(fib):
-    erased = kdim(fib, 0).erase_indices()
-    assert all(not a.pred.indexed
-               for c in erased.clauses for a in (c.head, *c.body))
-    # non-indexed input is unchanged
-    assert fib.erase_indices().clauses == fib.clauses
-
-
 def kdim_pairs(p, k):
     """kdim(p, k) with rule 2b restricted to two-element tie sets: the
     rule-2b clauses whose tie set has more than two members are dropped."""

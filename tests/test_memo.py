@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from dimsolve import driver, linear_solver, models, polyhedra
-from dimsolve.driver import UNKNOWN_ROW_CAP, Config, solve
+from dimsolve.driver import Config, solve
 from dimsolve.polyhedra import DimensionMismatch, Polyhedron, RowCapExceeded, memo
 
 from conftest import C, poly, random_constraint, random_poly, random_program
@@ -64,7 +64,8 @@ def _ops(a, b):
     out = []
     for op in (lambda: a.sat(), lambda: a.project(("A", "C")), lambda: a.project(("B",)),
                lambda: a.hull(b), lambda: a.simplify(), lambda: a.rename(SWAP),
-               lambda: a.entails(b), lambda: a.conjoin(b.constraints).entails(a)):
+               lambda: a.entails(b),
+               lambda: Polyhedron(a.dims, a.constraints + b.constraints).entails(a)):
         try:
             out.append(op())
         except RowCapExceeded as e:
@@ -91,7 +92,9 @@ def test_memoized_operations_equal_computed_ones():
         assert computed == first == second
 
 
-def test_inherited_sat_equals_a_fresh_sat():
+def test_known_sat_equals_a_fresh_sat():
+    # a renamed polyhedron inherits no ``sat``: it knows only what building
+    # its rows told it; a simplified one starts out known
     rng = random.Random(17)
     known = 0
     for _ in range(80):
@@ -99,13 +102,14 @@ def test_inherited_sat_equals_a_fresh_sat():
         for block in (contextlib.nullcontext, memo):
             with block():
                 p = _fresh(a)
-                unknown = p.rename(SWAP)  # before ``sat``: nothing to inherit
                 p.sat()
-                for q in (unknown, p.rename(SWAP), _fresh(a).simplify()):
+                renamed = p.rename(SWAP)
+                assert renamed._sat is _fresh(renamed)._sat, a
+                for q in (renamed, _fresh(a).simplify()):
                     if q._sat is not None:
                         known += 1
                         assert q._sat == _fresh(q).sat(), (a, q)
-    assert known > 300
+    assert known >= 178
 
 
 def test_entailment_builds_no_polyhedra(monkeypatch):
@@ -153,7 +157,7 @@ def test_no_table_after_solve(fib_bench, monkeypatch):
     assert polyhedra._MEMO.get() is None
     monkeypatch.setattr(polyhedra, "_ROW_CAP", 0)
     out = solve(fib_bench)
-    assert (out.status, out.reason) == ("unknown", UNKNOWN_ROW_CAP)
+    assert (out.status, out.reason) == ("unknown", RowCapExceeded.reason)
     assert polyhedra._MEMO.get() is None
 
 

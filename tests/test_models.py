@@ -7,8 +7,8 @@ import pytest
 from dimsolve import models
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear
-from dimsolve.models import (Model, SplitBudgetExceeded, inductive, linearize,
-                             satisfies_clause, violations)
+from dimsolve.models import (Model, SplitBudgetExceeded, head_image, inductive,
+                             linearize, satisfies_clause, violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron, SolverTimeout, memo
 from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
@@ -99,22 +99,27 @@ def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
     assert satisfies_clause(m, p.clauses[0])
 
 
+def count_constructions(monkeypatch) -> list:
+    """The polyhedra built from now on, in order."""
+    built = []
+    init = Polyhedron.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(Polyhedron, "__init__", counted)
+    return built
+
+
 def test_region_pieces_build_no_polyhedron(monkeypatch):
     # the image 0 =< A =< 9 less the first fact leaves the piece A > 4, which
     # the second fact covers; with the image stored, the check builds nothing
     p = parse("r(Y) :- Y = X, q(X).")
     m = model_of((PredRef("q"), interval(0, 9)),
                  *((PredRef("r"), r) for r in (interval(0, 4), interval(4, 9))))
-    built = []
-    init = Polyhedron.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
     with memo():
         assert satisfies_clause(m, p.clauses[0])
-        monkeypatch.setattr(Polyhedron, "__init__", counted)
+        built = count_constructions(monkeypatch)
         assert satisfies_clause(m, p.clauses[0])
         monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)  # a piece is made
         with pytest.raises(SplitBudgetExceeded):
@@ -274,6 +279,33 @@ def test_linearize_simplifies_nothing(fib):
     assert not [key for key in table if key[0] == "simplify"]
 
 
+def test_linearize_builds_no_polyhedron(fib, monkeypatch):
+    # each clause body is projected on rows, and the rows are emitted
+    acc = solve_linear(kdim(fib, 0)).model
+    built = count_constructions(monkeypatch)
+    assert linearize(kdim(fib, 1, 1), acc).clauses
+    assert built == []
+
+
+def test_clause_image_builds_one_polyhedron(fib, monkeypatch):
+    # the body and its projection stay rows; only the image that is kept
+    # is built, and a stored image is not built again
+    p = kdim(fib, 0)
+    m = solve_linear(p).model
+    images = 0
+    with memo():
+        built = count_constructions(monkeypatch)
+        for c in p.clauses:
+            for choice in product(*(m.facts_for(a.pred) for a in c.body)):
+                built.clear()
+                image = head_image(c, zip(c.body, choice))
+                assert built == ([] if image is None else [image])
+                assert head_image(c, zip(c.body, choice)) is image
+                assert len(built) <= 1
+                images += image is not None and bool(c.body)
+    assert images > 0
+
+
 def test_linearize_empty_interpretation_drops_clause():
     p = parse(EXCERPT)
     out = linearize(p, Model())  # fib[0] has the empty interpretation
@@ -376,7 +408,8 @@ def random_model(rng, p):
             base = random_poly(rng, dims, coeff_range=(-3, 3))
             facts.append((pred, base))
             if rng.random() < 0.7:
-                stronger = base.conjoin([random_constraint(rng, dims, (-3, 3))])
+                stronger = Polyhedron(base.dims, base.constraints
+                                      + (random_constraint(rng, dims, (-3, 3)),))
                 facts.append((pred, stronger))
     rng.shuffle(facts)
     return model_of(*facts)

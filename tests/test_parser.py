@@ -101,6 +101,12 @@ def test_nonlinear_term_rejected():
     assert "non-linear" in str(e.value)
 
 
+def test_coefficient_after_variable_names_the_fix():
+    # X*2 is linear; the grammar only takes the coefficient first
+    with pytest.raises(ParseError, match=r"1:9: coefficient after the variable: write 2\*X"):
+        parse("p(X) :- X*2 = 4.")
+
+
 def test_false_with_args_rejected():
     with pytest.raises(ParseError):
         parse("false(X) :- X = 1.")

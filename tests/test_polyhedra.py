@@ -71,7 +71,7 @@ def test_entails_own_conjunct():
 def _fm_entails(p, c) -> bool:
     """``p.entails_constraint(c)`` by Fourier-Motzkin alone, without the
     single-row test."""
-    return all(p.conjoin([n]).is_empty() for n in c.negations())
+    return all(Polyhedron(p.dims, p.constraints + (n,)).is_empty() for n in c.negations())
 
 
 def test_row_entails_agrees_with_fourier_motzkin():
@@ -114,6 +114,14 @@ def test_repeated_dimension_rejected():
     # a model fact repeating an argument
     with pytest.raises(DimensionMismatch, match="dimension 'A' repeated"):
         Model.parse("p(A, A) :- [A >= 0].")
+
+
+def test_rename_that_moves_no_dimension_is_the_identity():
+    p = poly(("A", "B"), C({"A": 1, "B": -1}, 0))
+    assert p.rename({d: d for d in p.dims}) is p
+    assert p.rename({}) is p
+    q = p.rename({"A": "X"})
+    assert (q.dims, q.constraints) == (("X", "B"), (C({"X": 1, "B": -1}, 0),))
 
 
 def test_entails_constraint_equals_elimination():
@@ -169,7 +177,8 @@ def test_entails_constraint_equals_elimination_when_empty_or_foreign():
         for r in p.constraints[:1]:
             # with a row that contradicts ``r``, which the prune cannot see:
             # ``terms + const =< 0`` against ``-terms - const + 1 =< 0``
-            polys.append(p.conjoin([C({v: -k for v, k in r.terms}, 1 - r.const)]))
+            polys.append(Polyhedron(p.dims, p.constraints
+                                    + (C({v: -k for v, k in r.terms}, 1 - r.const),)))
     empties = [p for p in polys if p.is_empty() and p.constraints != (FALSE,)]
     assert len(empties) > 100
     raised = 0
@@ -249,7 +258,8 @@ def test_project_soundness_and_grid_completeness():
         # completeness: each grid point of the projection extends rationally
         for pt in grid_points(keep, -2, 2):
             if q.eval_point(pt):
-                ext = p.conjoin([Constraint.make({k: 1}, -pt[k], EQ) for k in keep])
+                ext = Polyhedron(p.dims, p.constraints + tuple(
+                    Constraint.make({k: 1}, -pt[k], EQ) for k in keep))
                 assert ext.sat()
 
 
@@ -433,7 +443,7 @@ def _reference_simplify(p):
     ineqs = sorted([c for c in kept if c.rel != EQ], reverse=True)
     for c in ineqs + sorted([c for c in kept if c.rel == EQ], reverse=True):
         rest = [k for k in kept if k != c]
-        if all(Polyhedron(p.dims, rest).conjoin([n]).is_empty() for n in c.negations()):
+        if all(Polyhedron(p.dims, rest + [n]).is_empty() for n in c.negations()):
             kept = rest
     return Polyhedron(p.dims, kept)
 
@@ -443,7 +453,7 @@ def _with_mates(rng, p):
     ``simplify`` has pairs to merge into equalities."""
     mates = [C({v: -k for v, k in r.terms}, -r.const) for r in p.constraints
              if r.rel == LE and rng.random() < 0.5]
-    return p.conjoin(mates)
+    return Polyhedron(p.dims, p.constraints + tuple(mates))
 
 
 def test_simplify_matches_reference_greedy_loop():
