@@ -7,10 +7,9 @@ Predicates absent from the map denote the empty interpretation, and the
 reserved ``false`` is always interpreted as empty.  Clause satisfaction is
 decided exactly over the rationals: for every choice of one disjunct per body
 atom, the body's image in the head arguments must be covered by the
-disjunction of head facts, checked by recursive region subtraction.  Head
-facts constrain only the head arguments, so covering the projected body is
-the same as covering the body itself.  Regions are pruned row tuples, not
-polyhedra, each asked through the ``("sat", rows)`` entry ``Polyhedron.sat`` uses.
+disjunction of head facts, checked by region subtraction
+(``polyhedra._covered``).  Head facts constrain only the head arguments, so
+covering the projected body is the same as covering the body itself.
 
 The inductiveness check (``violations``) first reduces the index-erased
 model to its maximal facts, dropping each fact entailed by another fact of
@@ -18,9 +17,9 @@ the same predicate.  That is exact: the union of head facts is unchanged,
 and a body combination using a dropped fact has its head image inside the
 image of the same combination using the fact that entails it.
 
-Clause images are built from rows: ``_image`` prunes the clause constraint
-with each chosen fact's rows renamed onto the atom's arguments and projects
-them (``polyhedra._project``).  ``linearize`` emits those rows, and
+A clause image is the clause constraint with each chosen fact's rows
+renamed onto the atom's arguments, projected on rows
+(``polyhedra._project``).  ``linearize`` emits those rows, and
 ``head_image`` builds one polyhedron, the image it keeps.  Inside a
 ``polyhedra.memo()`` block, ``head_image`` stores each image, None
 included, in the table that also reuses each distinct ``sat``, ``entails``,
@@ -34,12 +33,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .polyhedra import (Polyhedron, ResourceExhausted, _memoized, _nonempty, _project,
-                        _prune, _row_entails, _sat)
+from .polyhedra import Polyhedron, _covered, _memoized, _nonempty, _project
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
                      render_atom)
-
-_SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
 
 class Model:
@@ -103,18 +99,14 @@ class Model:
 def _image(clause: Clause, chosen, keep: tuple) -> tuple | None:
     """The clause constraint and the rows of each ``(atom, polyhedron)`` of
     ``chosen``, renamed from its dims onto the atom's arguments, projected
-    onto ``keep``; None when unsatisfiable.  The projection is tested: it
-    has fewer variables, and it is empty exactly when the body is."""
+    onto ``keep`` (``polyhedra._project``); None when unsatisfiable."""
     rows = list(clause.constraint)
     for atom, poly in chosen:
         if len(poly.dims) != len(atom.args):
             raise ValueError(f"arity mismatch for {atom.pred!r}")
         mapping = dict(zip(poly.dims, (v.name for v in atom.args)))
         rows.extend(c.rename(mapping) for c in poly.constraints)
-    rows = _prune(rows)
-    if rows is not None:
-        rows = _project(rows, keep)
-    return rows if rows is not None and _sat(rows) else None
+    return _project(rows, keep)
 
 
 def head_image(clause: Clause, chosen) -> Polyhedron | None:
@@ -132,42 +124,6 @@ def _head_image(clause: Clause, chosen) -> Polyhedron | None:
         return None
     mapping = {v: p.name for v, p in zip(head_vars, canonical_params(len(head_vars)))}
     return _nonempty(tuple(mapping.values()), [c.rename(mapping) for c in rows])
-
-
-class SplitBudgetExceeded(ResourceExhausted):
-    """Region subtraction created more than ``_SPLIT_BUDGET`` pieces."""
-    reason = "split-budget"
-
-
-def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
-    """True iff every rational point of ``body`` lies in some head region.
-
-    Region subtraction: peel each head region off the body; covered iff
-    nothing satisfiable remains.  Regions are pruned row tuples.
-    """
-    regions = [body.constraints]
-    created = 0
-    for head in heads:
-        next_regions = []
-        for r in regions:
-            prefix = ()
-            for c in head.constraints:
-                if _row_entails(r, c):
-                    prefix += (c,)  # every piece of ``c`` would be empty
-                    continue
-                for neg in c.negations():
-                    piece = _prune(r + prefix + (neg,))
-                    created += 1
-                    if created > _SPLIT_BUDGET:
-                        raise SplitBudgetExceeded(
-                            "region subtraction split budget exceeded")
-                    if piece is not None and _sat(piece):
-                        next_regions.append(piece)
-                prefix += (c,)
-        regions = next_regions
-        if not regions:
-            return True
-    return not regions
 
 
 def satisfies_clause(m: Model, clause: Clause) -> bool:

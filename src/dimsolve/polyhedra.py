@@ -2,10 +2,10 @@
 
 Satisfiability and projection use Fourier-Motzkin elimination (equalities are
 substituted away Gaussian-style first); entailment reduces to satisfiability
-of negations; the convex hull uses the standard lifted encoding; widening is
-the classic constraint-based operator extended with the usual refinement that
-keeps constraints of the new polyhedron able to stand in for a dropped one.
-Everything is exact; no floating point anywhere.
+of negations, and coverage by a union to region subtraction; the convex hull
+uses the standard lifted encoding; widening is the classic constraint-based
+operator with the usual refinement (``widen``).  Everything is exact; no
+floating point anywhere.
 
 A ``Constraint`` is the row ``(terms, const, rel)``.  ``_eliminate`` packs
 its input rows once, with ``terms`` as a tuple of one integer coefficient
@@ -52,8 +52,8 @@ Fourier-Motzkin would give the same answer:
   an inequality and a non-equality row with the same terms has a bound at
   least as strong, in ``_prune``'s order.  A row implies what it
   dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only through
-  ``entails_constraint``, and ``models._covered`` uses the same test to
-  split off no pieces for a head row that the region implies;
+  ``entails_constraint``, and ``_covered`` uses the same test to split
+  off no pieces for a head row that the region implies;
 - otherwise, by Farkas' lemma (Schrijver, *Theory of Linear and Integer
   Programming*, 1986), a nonempty polyhedron implies ``c`` only when each
   variable of ``c`` occurs with its sign in ``c`` in an inequality row or
@@ -63,8 +63,9 @@ Fourier-Motzkin would give the same answer:
   builds its sign set on its first ``entails_constraint`` and keeps it.
 
 Otherwise ``c`` is implied when the rows with each negation of ``c``,
-pruned, are unsatisfiable; each such ``sat`` is stored under the same
-``("sat", rows)`` key as ``Polyhedron.sat``.
+pruned, are unsatisfiable.  Each such ``sat``, like that of each region
+piece of ``_covered``, is stored under the same ``("sat", rows)`` key as
+``Polyhedron.sat``.
 
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
@@ -90,8 +91,9 @@ call is computed once and its result reused.  ``entails`` checks the
 dimensions before the lookup and keys on ``other``'s rows alone, which lie
 inside ``self``'s dimensions by then; the fixpoint's growth tests, its
 narrowing stop test and ``models``' maximal facts ask many pairs again.
-``_project`` works on rows, stored under ``("project", rows, keep)``, so
-``models`` projects a clause body without building a polyhedron for it.
+``_project`` prunes rows in any order and stores its tested result, None
+exactly for empty rows, under ``("project", rows, keep)``, so ``models``
+projects a clause body with no polyhedron and no second ``sat``.
 A simplified polyhedron is nonempty.  ``simplify`` is idempotent, so its
 result is also stored as its own simplification.  The block also holds the
 solve's deadline, which ``_eliminate`` checks on entry and once per
@@ -114,6 +116,7 @@ from .terms import EQ, LE, LT, Constraint, FALSE_CONSTRAINT, normal_form
 from .terms import linear_combination  # noqa: F401  (perfbench/tracing.py patches it)
 
 _ROW_CAP = 200_000  # guard against pathological Fourier-Motzkin blowup
+_SPLIT_BUDGET = 10_000  # region-subtraction pieces per coverage check
 
 
 class DimensionMismatch(ValueError):
@@ -128,6 +131,11 @@ class ResourceExhausted(RuntimeError):
 class RowCapExceeded(ResourceExhausted):
     """Fourier-Motzkin generated more than ``_ROW_CAP`` rows."""
     reason = "fm-row-cap"
+
+
+class SplitBudgetExceeded(ResourceExhausted):
+    """Region subtraction created more than ``_SPLIT_BUDGET`` pieces."""
+    reason = "split-budget"
 
 
 class SolverTimeout(ResourceExhausted):
@@ -400,15 +408,19 @@ def _sat(rows: tuple) -> bool:
         list(rows), {v for r in rows for v, _ in r.terms}) is not None)
 
 
-def _project(rows: tuple, keep: tuple) -> tuple | None:
-    """The pruned rows ``rows`` with every variable outside ``keep``
-    eliminated, pruned; None when a contradiction turns up.  Memoized under
-    ``("project", rows, keep)``.  ``rows`` come in ``_prune``'s order, as a
-    polyhedron stores them: ``_eliminate`` picks equalities in row order."""
+def _project(rows, keep: tuple) -> tuple | None:
+    """``rows``, in any order, with every variable outside ``keep``
+    eliminated, pruned; None exactly when ``rows`` are unsatisfiable.
+    Memoized under ``("project", rows, keep)`` with ``rows`` pruned, so in
+    ``_prune``'s order (``_eliminate`` picks equalities in row order), and
+    with the projection's own ``sat`` asked inside."""
+    rows = _prune(rows)
+
     def compute():
         out = _eliminate(list(rows), {v for r in rows for v, _ in r.terms}.difference(keep))
-        return None if out is None else _prune(out)
-    return _memoized(("project", rows, keep), compute)
+        out = None if out is None else _prune(out)
+        return out if out is not None and _sat(out) else None
+    return None if rows is None else _memoized(("project", rows, keep), compute)
 
 
 def _row_entails(rows, c: Constraint) -> bool:
@@ -444,6 +456,37 @@ def _entails(rows: tuple, signs: set, c: Constraint) -> bool | None:
         if more is not None and _sat(more):
             return False
     return True
+
+
+def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
+    """True iff every rational point of ``body`` lies in some head region.
+
+    Region subtraction: peel each head region off the body; covered iff
+    nothing satisfiable remains.  Regions are pruned row tuples.
+    """
+    regions = [body.constraints]
+    created = 0
+    for head in heads:
+        next_regions = []
+        for r in regions:
+            prefix = ()
+            for c in head.constraints:
+                if _row_entails(r, c):
+                    prefix += (c,)  # every piece of ``c`` would be empty
+                    continue
+                for neg in c.negations():
+                    piece = _prune(r + prefix + (neg,))
+                    created += 1
+                    if created > _SPLIT_BUDGET:
+                        raise SplitBudgetExceeded(
+                            "region subtraction split budget exceeded")
+                    if piece is not None and _sat(piece):
+                        next_regions.append(piece)
+                prefix += (c,)
+        regions = next_regions
+        if not regions:
+            return True
+    return not regions
 
 
 def _nonempty(dims, rows) -> "Polyhedron":
@@ -519,7 +562,7 @@ class Polyhedron:
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
         rows = _project(self.constraints, keep)
-        return Polyhedron.bottom(keep) if rows is None else Polyhedron(keep, rows)
+        return Polyhedron.bottom(keep) if rows is None else _nonempty(keep, rows)
 
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         if set(self.dims) != set(other.dims):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 # Relations of a normalized atomic constraint.  EQ and LE are the only forms
 # produced by program normalization; LT arises transiently when constraints
-# are negated during entailment checks.
+# are negated, in entailment checks and in coverage's region pieces.
 EQ = "="
 LE = "=<"
 LT = "<"

@@ -40,7 +40,7 @@ def test_max_k_zero_unknown(capsys):
 CAPS = [
     ("dimsolve.polyhedra", "_ROW_CAP", 0, "fm-row-cap"),
     ("dimsolve.linear_solver", "step", lambda p, s: dict(s), "no-fixpoint"),
-    ("dimsolve.models", "_SPLIT_BUDGET", 0, "split-budget"),
+    ("dimsolve.polyhedra", "_SPLIT_BUDGET", 0, "split-budget"),
 ]
 
 

@@ -5,13 +5,13 @@ import time
 
 import pytest
 
-from dimsolve import driver, linear_solver, models, polyhedra
+from dimsolve import driver, linear_solver, polyhedra
 from dimsolve.driver import Config, UNKNOWN_MAX_K, UNKNOWN_NOT_SOLVED, solve
 from dimsolve.kdim import clause_count, kdim
 from dimsolve.linear_solver import NoFixpoint, solve_linear
-from dimsolve.models import SplitBudgetExceeded, inductive, linearize, satisfies_clause
+from dimsolve.models import inductive, linearize, satisfies_clause
 from dimsolve.parser import parse
-from dimsolve.polyhedra import RowCapExceeded, SolverTimeout
+from dimsolve.polyhedra import RowCapExceeded, SolverTimeout, SplitBudgetExceeded
 
 from conftest import random_program
 
@@ -75,7 +75,7 @@ def test_timeout():
 CAPS = [
     (polyhedra, "_ROW_CAP", 0, RowCapExceeded.reason),
     (linear_solver, "step", lambda p, s: dict(s), NoFixpoint.reason),
-    (models, "_SPLIT_BUDGET", 0, SplitBudgetExceeded.reason),
+    (polyhedra, "_SPLIT_BUDGET", 0, SplitBudgetExceeded.reason),
 ]
 
 

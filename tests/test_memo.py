@@ -13,6 +13,9 @@ import pytest
 
 from dimsolve import driver, linear_solver, models, polyhedra
 from dimsolve.driver import Config, solve
+from dimsolve.kdim import kdim
+from dimsolve.linear_solver import solve_linear
+from dimsolve.models import linearize
 from dimsolve.polyhedra import DimensionMismatch, Polyhedron, RowCapExceeded, memo
 
 from conftest import C, poly, random_constraint, random_poly, random_program
@@ -57,6 +60,23 @@ def test_solve_computes_each_clause_image_once(fib, tree3, monkeypatch):
             m.setattr(models, "_head_image", counted)
             solve(p, cfg)
         assert computed and max(computed.values()) == 1
+
+
+def test_stored_projection_asks_no_sat(fib, monkeypatch):
+    # a stored projection was tested when it was computed, so linearizing
+    # again reads projections and asks no ``sat``
+    acc = solve_linear(kdim(fib, 0)).model
+    asked = []
+    memoized = polyhedra._memoized
+
+    def recorded(key, compute):
+        asked.append(key[0])
+        return memoized(key, compute)
+    with memo():
+        first = linearize(kdim(fib, 1, 1), acc)
+        monkeypatch.setattr(polyhedra, "_memoized", recorded)
+        assert linearize(kdim(fib, 1, 1), acc).clauses == first.clauses
+    assert "project" in asked and "sat" not in asked
 
 
 def _ops(a, b):

@@ -4,13 +4,13 @@ from itertools import product
 
 import pytest
 
-from dimsolve import models
+from dimsolve import models, polyhedra
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear
-from dimsolve.models import (Model, SplitBudgetExceeded, head_image, inductive,
-                             linearize, satisfies_clause, violations)
+from dimsolve.models import (Model, head_image, inductive, linearize, satisfies_clause,
+                             violations)
 from dimsolve.parser import parse
-from dimsolve.polyhedra import Polyhedron, SolverTimeout, memo
+from dimsolve.polyhedra import Polyhedron, SolverTimeout, SplitBudgetExceeded, memo
 from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
 from dimsolve.terms import EQ
 
@@ -86,7 +86,7 @@ def test_split_budget_exhaustion_raises(monkeypatch):
     m = model_of((PredRef("q"), interval(0, 9)),
                  *((PredRef("r"), r) for r in (interval(0, 4), interval(5, 9))))
     assert not satisfies_clause(m, p.clauses[0])
-    monkeypatch.setattr(models, "_SPLIT_BUDGET", 1)
+    monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 1)
     with pytest.raises(SplitBudgetExceeded):
         satisfies_clause(m, p.clauses[0])
 
@@ -95,7 +95,7 @@ def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
     # each row of the head fact is a row of the image, so no piece is made
     p = parse("r(Y) :- Y = X, q(X).")
     m = model_of(*((PredRef(name), interval(0, 9)) for name in ("q", "r")))
-    monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)
+    monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 0)
     assert satisfies_clause(m, p.clauses[0])
 
 
@@ -121,7 +121,7 @@ def test_region_pieces_build_no_polyhedron(monkeypatch):
         assert satisfies_clause(m, p.clauses[0])
         built = count_constructions(monkeypatch)
         assert satisfies_clause(m, p.clauses[0])
-        monkeypatch.setattr(models, "_SPLIT_BUDGET", 0)  # a piece is made
+        monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 0)  # a piece is made
         with pytest.raises(SplitBudgetExceeded):
             satisfies_clause(m, p.clauses[0])
     assert built == []

@@ -246,6 +246,20 @@ def test_project_sum_of_unit_intervals():
     assert p.project(["x"]) == poly(("x",), C({"x": -1}, 0), C({"x": 1}, -2))
 
 
+def test_project_of_an_empty_polyhedron_is_bottom():
+    # A >= 20 and A =< 1 contradict only together, so pruning keeps both
+    p = poly(("A", "B"), C({"A": -1}, 20), C({"A": 1}, -1), C({"B": 1}, 0, EQ))
+    assert p.project(("A",)) == Polyhedron.bottom(("A",))
+    assert p.project(()) == Polyhedron.bottom(())
+    q = poly(("A", "B"), C({"A": 1, "B": -1}, 0), C({"B": 1}, -5)).project(("A",))
+    assert q == poly(("A",), C({"A": 1}, -5)) and q._sat is True
+    rng = random.Random(5)
+    for _ in range(40):
+        p = random_poly(rng, ("x", "y", "z"))
+        q = p.project(("x",))
+        assert (q == Polyhedron.bottom(("x",))) is (q._sat is False) is p.is_empty()
+
+
 def test_project_soundness_and_grid_completeness():
     rng = random.Random(11)
     for _ in range(40):
