@@ -20,7 +20,7 @@ from .terms import Constraint
 
 # parse and solve never need the derivation trees, so ``trees`` loads on
 # first use of one of its names (PEP 562)
-_TREES = {"DerivTree", "Node", "dim", "enumerate_trees", "height",
+_TREES = {"Node", "dim", "enumerate_trees", "height",
           "render_tree", "tree_constraint"}
 
 
@@ -31,8 +31,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "Atom", "Clause", "Config", "Constraint", "DerivTree",
-    "DimensionMismatch", "LinearVerdict",
+    "Atom", "Clause", "Config", "Constraint", "DimensionMismatch", "LinearVerdict",
     "Model", "Node", "ParseError", "Polyhedron", "PredRef", "Program",
     "SolveOutcome", "Var", "clause_count", "dim", "enumerate_trees",
     "height", "inductive", "is_linear", "kdim",

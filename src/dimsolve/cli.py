@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--dump-trees", type=int, metavar="N",
                    help="print the first N derivation trees and exit")
     s.add_argument("--root", help="root predicate for --dump-trees")
-    s.add_argument("--max-nodes", type=int, default=9,
-                   help="node budget for --dump-trees")
+    s.add_argument("--max-nodes", type=int,
+                   help="node budget for --dump-trees (default 9)")
 
     k = sub.add_parser("kdim", help="print the at-most-k-dimension program")
     k.add_argument("--k", type=int, required=True)
@@ -155,9 +155,11 @@ def _run(args) -> int:
         return 0
 
     # default: solve
+    if args.dump_trees is None and (args.root is not None or args.max_nodes is not None):
+        return _fail("--root and --max-nodes apply only with --dump-trees")
     if args.max_k < 0:
         return _fail("--max-k must be nonnegative")
-    if args.max_nodes < 1:
+    if args.max_nodes is not None and args.max_nodes < 1:
         return _fail("--max-nodes must be at least 1")
     if args.dump_trees is not None and args.dump_trees < 0:
         return _fail("--dump-trees must be nonnegative")
@@ -173,7 +175,8 @@ def _run(args) -> int:
         if root not in {c.head.pred for c in program.clauses}:
             return _fail(f"no clause has head {root}")
         try:
-            for i, t in enumerate(enumerate_trees(program, root, args.max_nodes)):
+            # a --max-nodes below 1 was refused above
+            for i, t in enumerate(enumerate_trees(program, root, args.max_nodes or 9)):
                 if i >= args.dump_trees:
                     break
                 sys.stdout.write(render_tree(t))

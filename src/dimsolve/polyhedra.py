@@ -63,9 +63,11 @@ Fourier-Motzkin would give the same answer:
   builds its sign set on its first ``entails_constraint`` and keeps it.
 
 Otherwise ``c`` is implied when the rows with each negation of ``c``,
-pruned, are unsatisfiable.  Each such ``sat``, like that of each region
-piece of ``_covered``, is stored under the same ``("sat", rows)`` key as
-``Polyhedron.sat``.
+pruned, are unsatisfiable.  Each such ``sat`` is stored under the same
+``("sat", rows)`` key as ``Polyhedron.sat``.  A region piece of
+``_covered`` is a region's rows with one negated head row, pruned, so a
+piece of the body is the very row tuple that ``_entails`` asks about, and
+after ``body.entails(head)`` its ``sat`` is a table hit.
 
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
@@ -462,27 +464,28 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
     """True iff every rational point of ``body`` lies in some head region.
 
     Region subtraction: peel each head region off the body; covered iff
-    nothing satisfiable remains.  Regions are pruned row tuples.
+    nothing satisfiable remains.  Regions are pruned row tuples.  A region
+    ``r`` minus a head is the union of the pieces ``r`` with one negation
+    of one head row; the pieces may overlap.  A head row that ``r``
+    implies by ``_row_entails`` adds no piece, and each other piece is the
+    row tuple that ``_entails`` asks about for that head row.
     """
     regions = [body.constraints]
     created = 0
     for head in heads:
         next_regions = []
         for r in regions:
-            prefix = ()
             for c in head.constraints:
                 if _row_entails(r, c):
-                    prefix += (c,)  # every piece of ``c`` would be empty
-                    continue
+                    continue  # every piece of ``c`` would be empty
                 for neg in c.negations():
-                    piece = _prune(r + prefix + (neg,))
+                    piece = _prune(r + (neg,))
                     created += 1
                     if created > _SPLIT_BUDGET:
                         raise SplitBudgetExceeded(
                             "region subtraction split budget exceeded")
                     if piece is not None and _sat(piece):
                         next_regions.append(piece)
-                prefix += (c,)
         regions = next_regions
         if not regions:
             return True

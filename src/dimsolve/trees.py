@@ -1,15 +1,19 @@
 """Derivation trees, tree dimension, and a bounded enumeration oracle.
 
-The dimension of a labeled tree measures its non-linearity: chains have
-dimension 0, a complete binary tree has dimension equal to its height.  The
-enumerator yields every derivation tree of a program up to a node budget
-whose accumulated constraint is satisfiable; it serves as the ground-truth
-oracle for the dimension-bounding transformation.
+A tree is a ``Node``; a derivation tree is a ``Node`` whose labels are
+clause ids.  The dimension of a labeled tree measures its non-linearity:
+chains have dimension 0, a complete binary tree has dimension equal to its
+height.  The enumerator yields every derivation tree of a program up to a
+node budget whose accumulated constraint is satisfiable, in the order of
+their preorder clause-id sequences; it serves as the ground-truth oracle
+for the dimension-bounding transformation.  ``tree_constraint`` names the
+variable ``v`` of the clause at preorder position ``i`` ``v@i``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from .polyhedra import Polyhedron
@@ -18,18 +22,10 @@ from .terms import EQ, Constraint
 
 
 class Node(NamedTuple):
-    """A bare labeled tree, for dimension computations on hand-built trees."""
+    """A labeled tree.  A derivation tree is a ``Node`` labeled by clause
+    ids; it equals and hashes as its plain ``(label, children)`` tuple."""
     label: object = None
     children: tuple = ()
-
-
-class DerivTree(NamedTuple):
-    clause_id: int
-    binding: tuple[tuple[str, str], ...]  # clause variable -> instance variable
-    children: tuple["DerivTree", ...] = ()
-
-    def skeleton(self):
-        return (self.clause_id, tuple(c.skeleton() for c in self.children))
 
 
 def dim(t) -> int:
@@ -54,10 +50,17 @@ def height(t) -> int:
 # enumeration
 
 def _skeletons(p: Program, pred: PredRef, max_nodes: int,
-               free: frozenset[int] = frozenset()):
-    """Skeletons (nested clause-id tuples) of complete derivations whose
-    node count, not counting clauses in ``free``, stays within the budget.
-    Free clauses must not form body cycles among themselves."""
+               free: frozenset[int] = frozenset()) -> list[Node]:
+    """Complete derivation trees, satisfiable or not, whose node count, not
+    counting clauses in ``free``, stays within the budget, in the order of
+    their preorder clause-id sequences.  Free clauses must not form body
+    cycles among themselves.
+
+    ``gen`` goes through the clauses by id and ``seq`` through each child in
+    turn, so each memoized list is ordered by the children's sequences one
+    after another.  A clause fixes its number of children, so no complete
+    tree's sequence is a prefix of another's, and that order is the order of
+    the concatenated preorder sequences."""
     by_pred: dict[PredRef, list[Clause]] = {}
     for c in p.clauses:
         by_pred.setdefault(c.head.pred, []).append(c)
@@ -74,7 +77,7 @@ def _skeletons(p: Program, pred: PredRef, max_nodes: int,
             if budget - cost < 0:
                 continue
             for kids, n in seq(c.body, budget - cost):
-                out.append(((c.id, kids), cost + n))
+                out.append((Node(c.id, kids), cost + n))
         return tuple(out)
 
     @lru_cache(maxsize=None)
@@ -90,52 +93,31 @@ def _skeletons(p: Program, pred: PredRef, max_nodes: int,
                 out.append(((t, *ts), n + m))
         return tuple(out)
 
-    return [skel for skel, n in gen(pred, max_nodes)]
+    return [t for t, n in gen(pred, max_nodes)]
 
 
-def _by_id(p: Program) -> dict[int, Clause]:
-    return {c.id: c for c in p.clauses}
-
-
-def _instantiate(clauses: dict[int, Clause], skel, counter) -> DerivTree:
-    cid, kids = skel
-    clause = clauses[cid]
-    idx = counter[0]
-    counter[0] += 1
-    binding = tuple((v, f"{v}@{idx}") for v in clause.vars())
-    return DerivTree(cid, binding,
-                     tuple(_instantiate(clauses, k, counter) for k in kids))
-
-
-def tree_constraint(p: Program, t: DerivTree) -> Polyhedron:
+def tree_constraint(p: Program, t: Node) -> Polyhedron:
     """Conjunction of all renamed clause constraints plus the equations tying
-    each body atom's arguments to its child's head arguments."""
-    clauses = _by_id(p)
+    each body atom's arguments to its child's head arguments.  The clause
+    variable ``v`` of the node at preorder position ``i`` is named ``v@i``."""
+    clauses = {c.id: c for c in p.clauses}
     rows: list[Constraint] = []
     dims: set[str] = set()
+    positions = count()
 
-    def walk(node: DerivTree):
-        clause = clauses[node.clause_id]
-        ren = dict(node.binding)
+    def walk(node: Node, i: int):
+        clause = clauses[node.label]
+        ren = {v: f"{v}@{i}" for v in clause.vars()}
         dims.update(ren.values())
-        for c in clause.constraint:
-            rows.append(c.rename(ren))
+        rows.extend(c.rename(ren) for c in clause.constraint)
         for atom, child in zip(clause.body, node.children):
-            child_ren = dict(child.binding)
-            for a, h in zip(atom.args, clauses[child.clause_id].head.args):
-                rows.append(Constraint.make({ren[a.name]: 1, child_ren[h.name]: -1}, 0, EQ))
-            walk(child)
+            j = next(positions)
+            for a, h in zip(atom.args, clauses[child.label].head.args):
+                rows.append(Constraint.make({ren[a.name]: 1, f"{h.name}@{j}": -1}, 0, EQ))
+            walk(child, j)
 
-    walk(t)
+    walk(t, next(positions))
     return Polyhedron(sorted(dims), rows)
-
-
-def _preorder_ids(skel) -> tuple[int, ...]:
-    cid, kids = skel
-    out = [cid]
-    for k in kids:
-        out.extend(_preorder_ids(k))
-    return tuple(out)
 
 
 def enumerate_trees(p: Program, root: PredRef, max_nodes: int,
@@ -145,10 +127,7 @@ def enumerate_trees(p: Program, root: PredRef, max_nodes: int,
     Clauses listed in ``free`` do not count against the budget."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
-    clauses = _by_id(p)
-    skels = sorted(_skeletons(p, root, max_nodes, free), key=_preorder_ids)
-    for skel in skels:
-        t = _instantiate(clauses, skel, [0])
+    for t in _skeletons(p, root, max_nodes, free):
         if tree_constraint(p, t).sat():
             yield t
 
@@ -164,27 +143,28 @@ def enumerate_contracted(kp: Program, root: PredRef, source_budget: int):
 # ---------------------------------------------------------------------------
 # contraction of bookkeeping steps introduced by the transformation
 
-def contract_skeleton(kp: Program, skel):
-    """Map a transformed-program skeleton back to a source-program skeleton by
-    splicing out H[d] :- H(e) steps and replacing clause ids by their origin."""
+def contract_skeleton(kp: Program, t: Node) -> Node:
+    """Map a derivation tree of a transformed program back to one of the
+    source program by splicing out H[d] :- H(e) steps and replacing clause
+    ids by their origin."""
     by_id = {c.id: c for c in kp.clauses}
 
-    def go(s):
-        cid, kids = s
-        clause = by_id[cid]
+    def go(s: Node) -> Node:
+        clause = by_id[s.label]
         if clause.provenance and clause.provenance[0] == "eps":
-            return go(kids[0])
-        src = clause.provenance[1] if clause.provenance else cid
-        return (src, tuple(go(k) for k in kids))
+            return go(s.children[0])
+        src = clause.provenance[1] if clause.provenance else s.label
+        return Node(src, tuple(go(k) for k in s.children))
 
-    return go(skel)
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
 # text form used by the CLI (--dump-trees and the dim subcommand)
 
-def render_tree(t, depth: int = 0) -> str:
-    label = f"c{t.clause_id}" if isinstance(t, DerivTree) else str(t.label)
+def render_tree(t: Node, depth: int = 0) -> str:
+    """The indented dump format; an int label, a clause id, prints as ``c<id>``."""
+    label = f"c{t.label}" if isinstance(t.label, int) else str(t.label)
     lines = ["  " * depth + label]
     for c in t.children:
         lines.append(render_tree(c, depth + 1))
@@ -193,7 +173,6 @@ def render_tree(t, depth: int = 0) -> str:
 
 def parse_tree(text: str) -> Node:
     """Parse the indented dump format back into a labeled tree."""
-    root = None
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -202,23 +181,20 @@ def parse_tree(text: str) -> Node:
         if indent % 2:
             raise ValueError(f"line {lineno}: indentation must use two spaces per level")
         entries.append((indent // 2, raw.strip()))
-    nodes: list[tuple[int, str, list]] = []
-    for depth, label in entries:
-        item = (depth, label, [])
-        while nodes and nodes[-1][0] >= depth:
-            nodes.pop()
-        if not nodes:
-            if root is not None:
-                raise ValueError("multiple roots in tree dump")
-            root = item
-        else:
-            nodes[-1][2].append(item)
-        nodes.append(item)
-    if root is None:
+    if not entries:
         raise ValueError("empty tree dump")
 
-    def build(item) -> Node:
-        _, label, kids = item
-        return Node(label, tuple(build(k) for k in kids))
+    def build(i: int) -> tuple[Node, int]:
+        # the node at entry i; its children are the deeper entries after it
+        depth, label = entries[i]
+        kids = []
+        i += 1
+        while i < len(entries) and entries[i][0] > depth:
+            kid, i = build(i)
+            kids.append(kid)
+        return Node(label, tuple(kids)), i
 
-    return build(root)
+    root, end = build(0)
+    if end < len(entries):
+        raise ValueError("multiple roots in tree dump")
+    return root

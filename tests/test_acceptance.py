@@ -145,14 +145,14 @@ def test_criterion_7_dimension_restriction_property():
                 trees = list(enumerate_trees(p, pred, budget))
                 by_dim = {}
                 for t in trees:
-                    by_dim.setdefault(dim(t), set()).add(t.skeleton())
+                    by_dim.setdefault(dim(t), set()).add(t)
                 source[pred.base] = by_dim
             for k in (0, 1, 2):
                 kp = kdim(p, k)
                 for base, by_dim in source.items():
                     want = set().union(*(s for d, s in by_dim.items() if d <= k),
                                        set())
-                    got = {contract_skeleton(kp, t.skeleton())
+                    got = {contract_skeleton(kp, t)
                            for t in enumerate_contracted(
                                kp, PredRef(base, ATMOST, k), budget)}
                     assert got == want, (i, k, base)

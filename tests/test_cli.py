@@ -139,8 +139,12 @@ WIDEN_DELAY_REJECTED = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\
     (["--timeout-s", "nan"], "dimsolve: --timeout-s must be a nonnegative number\n"),
     (["--dump-trees", "2", "--root", "nosuch"], "dimsolve: no clause has head nosuch\n"),
     (["kdim", "--k", "-1"], "dimsolve: --k must be nonnegative\n"),
+    # without --dump-trees no tree is dumped, so neither option is read
+    (["--max-nodes", "0"], "dimsolve: --root and --max-nodes apply only with --dump-trees\n"),
+    (["--root", "Bad"], "dimsolve: --root and --max-nodes apply only with --dump-trees\n"),
 ], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
-        "timeout-s-negative", "timeout-s-nan", "dump-trees-root", "kdim-k"])
+        "timeout-s-negative", "timeout-s-nan", "dump-trees-root", "kdim-k",
+        "max-nodes-without-dump-trees", "root-without-dump-trees"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"

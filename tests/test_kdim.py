@@ -154,8 +154,8 @@ def test_pairs_mode_misses_three_way_ties():
     assert dim(triple) == 1
 
     def contracted(kp):
-        return {contract_skeleton(kp, t.skeleton())
+        return {contract_skeleton(kp, t)
                 for t in enumerate_contracted(kp, PredRef("s", "atmost", 1), 9)}
 
-    assert triple.skeleton() in contracted(kdim(p, 1))
-    assert triple.skeleton() not in contracted(kdim_pairs(p, 1))
+    assert triple in contracted(kdim(p, 1))
+    assert triple not in contracted(kdim_pairs(p, 1))

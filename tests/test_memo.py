@@ -79,6 +79,28 @@ def test_stored_projection_asks_no_sat(fib, monkeypatch):
     assert "project" in asked and "sat" not in asked
 
 
+def test_coverage_after_entailment_asks_no_new_sat(monkeypatch):
+    # each region piece is the body with one negated head row, the rows
+    # that ``entails`` tested, so the coverage check only reads the table
+    body = poly(("A", "B"), C({"A": -1}, 0), C({"B": -1}, 0), C({"A": 1, "B": 1}, -5))
+    head = poly(("A", "B"), C({"A": 1}, -5), C({"B": 1}, -5))  # A =< 5, B =< 5
+    # neither head row is a row of the body, so both need an elimination
+    assert not any(polyhedra._row_entails(body.constraints, c) for c in head.constraints)
+    asked = []
+    memoized = polyhedra._memoized
+
+    def recorded(key, compute):
+        asked.append(key)
+        return memoized(key, compute)
+    with memo() as table:
+        assert body.entails(head)
+        stored = set(table)
+        monkeypatch.setattr(polyhedra, "_memoized", recorded)
+        assert polyhedra._covered(body, [head])
+    sats = [key for key in asked if key[0] == "sat"]
+    assert len(sats) == 2 and set(sats) <= stored
+
+
 def _ops(a, b):
     """Every memoized operation on a pair, or the exception type it raised."""
     out = []

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from dimsolve import (Atom, Clause, Config, DerivTree, LinearVerdict, Node,
-                      PredRef, Program, SolveOutcome, Var, enumerate_trees,
-                      parse, solve)
+from dimsolve import (Atom, Clause, Config, LinearVerdict, Node, PredRef,
+                      Program, SolveOutcome, Var, enumerate_trees, parse,
+                      solve)
 from dimsolve.parser import Token, tokenize
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -27,7 +27,7 @@ def test_fields_cannot_be_assigned(fib_bench):
     records = _records(fib_bench)
     assert {type(r) for r in records} == {
         Var, PredRef, Atom, Clause, Program, Token, Node,
-        DerivTree, Config, SolveOutcome, LinearVerdict}
+        Config, SolveOutcome, LinearVerdict}
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)

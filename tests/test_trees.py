@@ -4,6 +4,7 @@ import pytest
 
 from dimsolve.kdim import kdim
 from dimsolve.syntax import ATMOST, PredRef
+from dimsolve.terms import EQ, Constraint
 from dimsolve.trees import (Node, contract_skeleton, dim,
                             enumerate_contracted, enumerate_trees, height,
                             parse_tree, render_tree, tree_constraint)
@@ -85,27 +86,27 @@ def test_dim_le_height_random_trees():
 
 def test_enumerate_min_budget(fib):
     ts = list(enumerate_trees(fib, PredRef("fib"), 1))
-    assert [t.skeleton() for t in ts] == [(1, ())]
+    assert ts == [(1, ())]
 
 
 def test_enumerate_includes_fibonacci3(fib):
     ts = list(enumerate_trees(fib, PredRef("fib"), 7))
     fib3 = (2, ((1, ()), (2, ((1, ()), (1, ())))))
-    assert fib3 in {t.skeleton() for t in ts}
-    t = next(t for t in ts if t.skeleton() == fib3)
+    assert fib3 in ts
+    t = next(t for t in ts if t == fib3)
     assert dim(t) == 1
 
 
 def test_enumerate_filters_unsatisfiable(fib):
     # the left-nested variant needs A-2 simultaneously below 2 and above 1
-    ts = {t.skeleton() for t in enumerate_trees(fib, PredRef("fib"), 7)}
+    ts = set(enumerate_trees(fib, PredRef("fib"), 7))
     left_nested = (2, ((2, ((1, ()), (1, ()))), (1, ())))
     assert left_nested not in ts
 
 
 def test_enumerate_deterministic_order(fib):
-    a = [t.skeleton() for t in enumerate_trees(fib, PredRef("fib"), 7)]
-    b = [t.skeleton() for t in enumerate_trees(fib, PredRef("fib"), 7)]
+    a = list(enumerate_trees(fib, PredRef("fib"), 7))
+    b = list(enumerate_trees(fib, PredRef("fib"), 7))
     assert a == b == sorted(a, key=lambda s: _preorder(s))
 
 
@@ -133,19 +134,52 @@ def test_tree_constraint_satisfiable_binding(fib):
     assert tree_constraint(fib, t).sat()
 
 
+def test_tree_constraint_names_variables_by_preorder_position(fib):
+    # preorder: 0 c2, 1 c1, 2 c2, 3 c1, 4 c1
+    fib3 = Node(2, (Node(1), Node(2, (Node(1), Node(1)))))
+    poly = tree_constraint(fib, fib3)
+    assert set(poly.dims) == ({f"{v}@{i}" for i in (1, 3, 4) for v in "AB"}
+                              | {f"{v}@{i}" for i in (0, 2)
+                                 for v in ("A", "A1", "A2", "B", "B1", "B2")})
+    # node 0's body atoms fib(A2, B2) and fib(A1, B1) meet the heads of
+    # nodes 1 and 2; node 2's meet those of nodes 3 and 4
+    for a, h in (("A2@0", "A@1"), ("A1@0", "A@2"), ("A2@2", "A@3"), ("B1@2", "B@4")):
+        assert Constraint.make({a: 1, h: -1}, 0, EQ) in poly.constraints
+    assert poly.sat()
+
+
+def _strictly_increasing_preorder(trees):
+    seqs = [_preorder(t) for t in trees]
+    return all(a < b for a, b in zip(seqs, seqs[1:]))
+
+
+def test_enumeration_order_strictly_increases():
+    # the enumeration is not sorted: its memoized lists come out in this order
+    rng = random.Random(6)
+    for _ in range(20):
+        p = random_program(rng)
+        for pred in {c.head.pred for c in p.clauses}:
+            assert _strictly_increasing_preorder(enumerate_trees(p, pred, 8))
+        for k in range(3):
+            kp = kdim(p, k)
+            for base in {q.base for q in p.signatures if not q.indexed}:
+                assert _strictly_increasing_preorder(
+                    enumerate_contracted(kp, PredRef(base, ATMOST, k), 7))
+
+
 # --- the transformation preserves exactly the low-dimension trees --------
 
 def dimension_restriction_holds(p, k, budget=9):
     source = {}
     for pred in {q for q in p.signatures if not q.indexed}:
         trees = enumerate_trees(p, pred, budget)
-        source[pred.base] = {t.skeleton() for t in trees if dim(t) <= k}
+        source[pred.base] = {t for t in trees if dim(t) <= k}
     kp = kdim(p, k)
     lifted = {base: set() for base in source}
     for base in source:
         root = PredRef(base, ATMOST, k)
         for t in enumerate_contracted(kp, root, budget):
-            lifted[base].add(contract_skeleton(kp, t.skeleton()))
+            lifted[base].add(contract_skeleton(kp, t))
     return source == lifted
 
 
