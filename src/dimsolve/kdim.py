@@ -13,11 +13,13 @@ Rule groups, in output order:
 2. For a clause H :- C, B1..Br with r > 1 and each 1 <= d <= k:
    (a) one child keeps dimension d, the rest drop below:
        H(d) :- C, Bj(d), Bi[d-1] (i != j), for each j;
-   (b) a set J of children ties at dimension d-1, the rest drop to d-2:
-       H(d) :- C, Bi(d-1) for i in J, Bi[d-2] otherwise, emitted when all
-       indices are defined (d >= 2 unless J covers every child).  Every J
-       with |J| >= 2 is admitted: two-element sets alone would miss ties of
-       three or more equally-deep children (see the regression tests).
+   (b) two children tie at dimension d-1 and none is higher:
+       H(d) :- C, Bi(d-1), Bj(d-1), Bt[d-1] (t != i, j), for each pair
+       i < j.  This is the definition of dimension read literally: a node
+       with two children of dimension d-1 and none higher has dimension d.
+       A tie of three or more children is derived by every pair it
+       contains.  At d = 1 the pair clauses coincide: every child is at (0)
+       or [0], which hold the same trees.
 3. Bookkeeping clauses H[d] :- H(e) for every predicate H, 0 <= d <= k,
    0 <= e <= d.
 
@@ -72,15 +74,12 @@ def kdim(p: Program, k: int, lowest: int = 0) -> Program:
                              for i, b in enumerate(c.body))
                 out.append(Clause(0, _indexed(c.head, EXACT, d), c.constraint, body,
                                   provenance=("rule2a", c.id, d, j)))
-            for size in range(2, r + 1):
-                for J in combinations(range(r), size):
-                    if size < r and d < 2:
-                        continue  # some child would need a negative index
-                    body = tuple(_indexed(b, EXACT, d - 1) if i in J
-                                 else _indexed(b, ATMOST, d - 2)
-                                 for i, b in enumerate(c.body))
-                    out.append(Clause(0, _indexed(c.head, EXACT, d), c.constraint, body,
-                                      provenance=("rule2b", c.id, d, J)))
+            for i, j in combinations(range(r), 2):
+                body = tuple(_indexed(b, EXACT, d - 1) if t in (i, j)
+                             else _indexed(b, ATMOST, d - 1)
+                             for t, b in enumerate(c.body))
+                out.append(Clause(0, _indexed(c.head, EXACT, d), c.constraint, body,
+                                  provenance=("rule2b", c.id, d, (i, j))))
     for base in _bases(p):
         arity = next(n for pred, n in p.signatures.items() if pred.base == base)
         params = canonical_params(arity)
@@ -102,10 +101,6 @@ def clause_count(p: Program, k: int) -> int:
         elif r == 1:
             total += k + 1
         else:
-            for d in range(1, k + 1):
-                total += r
-                total += 1  # J covering every child, defined for all d >= 1
-                if d >= 2:
-                    total += 2 ** r - 2 - r  # proper subsets of size >= 2
+            total += k * (r + r * (r - 1) // 2)
     total += len(_bases(p)) * (k + 1) * (k + 2) // 2
     return total

@@ -65,7 +65,9 @@ class Clause(NamedTuple):
     head: Atom
     constraint: tuple[Constraint, ...]
     body: tuple[Atom, ...]
-    # transformation bookkeeping: ("rule1"|"rule2a"|"rule2b"|"eps", source id, d)
+    # transformation bookkeeping: ("rule1"|"rule2a"|"rule2b"|"eps", source id,
+    # d), then for rule 2a the index j of the child kept at d, for rule 2b
+    # the pair (i, j) of tied children, and for eps the exact index e
     provenance: tuple | None = None
 
     def __eq__(self, other):

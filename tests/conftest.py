@@ -26,14 +26,22 @@ fib(A, B) :- A > 1, A2 = A - 2, fib(A2, B2),
 false :- A > 5, fib(A, B), B < A.
 """
 
-# Node count of a ternary tree with at least one full-depth branch: safe, but
-# the erased models fail the inductiveness check at every level up to k=8.
-TREE3_SRC = """\
-t(H, N) :- H = 0, N = 1.
-t(H, N) :- H >= 1, H1 = H - 1, H2 >= 0, H2 =< H - 1, H3 >= 0, H3 =< H - 1,
-           t(H1, N1), t(H2, N2), t(H3, N3), N = N1 + N2 + N3 + 1.
-false :- t(H, N), N < 2*H + 1.
-"""
+def tree_count_src(n: int) -> str:
+    """Node count of an n-ary tree with at least one full-depth branch: never
+    fewer than 2*height+1 nodes.  One child is at full depth, the others no
+    deeper."""
+    rest = "".join(f", H{i} >= 0, H{i} =< H - 1" for i in range(2, n + 1))
+    kids = ", ".join(f"t(H{i}, N{i})" for i in range(1, n + 1))
+    total = " + ".join(f"N{i}" for i in range(1, n + 1))
+    return (f"t(H, N) :- H = 0, N = 1.\n"
+            f"t(H, N) :- H >= 1, H1 = H - 1{rest},\n"
+            f"           {kids}, N = {total} + 1.\n"
+            f"false :- t(H, N), N < 2*H + 1.\n")
+
+
+# The ternary tree: safe, but the erased models fail the inductiveness check
+# at every level up to k=8.
+TREE3_SRC = tree_count_src(3)
 
 # Its widened interpretation grazes the error states: plain ``step`` rounds
 # leave ``false`` feasible, and only the descending (narrowing) pass of
@@ -177,3 +185,4 @@ def multiset_alpha_equal(cs1, cs2) -> bool:
         else:
             return False
     return True
+

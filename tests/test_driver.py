@@ -13,7 +13,7 @@ from dimsolve.models import inductive, linearize, satisfies_clause
 from dimsolve.parser import parse
 from dimsolve.polyhedra import RowCapExceeded, SolverTimeout, SplitBudgetExceeded
 
-from conftest import random_program
+from conftest import random_program, tree_count_src
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import VARIANTS, WORKLOADS, program_texts  # noqa: E402
@@ -141,11 +141,21 @@ def test_tree3_deep_ends_max_k(tree3):
     assert out.k_reached == 4
     assert [e["violated"] for e in out.stats] == [[2], [2], [3], [3], [3]]
     # each level solves only its own clauses
-    assert [e["clauses"] for e in out.stats] == [4, 8, 11, 13, 14]
+    assert [e["clauses"] for e in out.stats] == [4, 10, 11, 12, 13]
     # each level's record reaches ``trace`` once, after its check ran
     assert records == list(out.stats)
     assert all(r["solved"] and r["check_s"] >= 0 for r in records)
     assert (records[2]["k"], records[2]["violated"]) == (2, [3])
+
+
+def test_wide_tree_count_ends_max_k_in_time():
+    """Rule 2b gives r(r-1)/2 clauses per level to a clause of r body atoms,
+    so a 12-ary tree count runs to max-k within the deadline."""
+    out = solve(parse(tree_count_src(12)), Config(max_k=4, timeout_s=5))
+    assert (out.status, out.reason, out.k_reached) == ("unknown", UNKNOWN_MAX_K, 4)
+    assert [e["violated"] for e in out.stats] == [[2], [2], [3], [3], [3]]
+    assert [e["clauses"] for e in out.stats] == [4, 82, 83, 84, 85]
+    assert len(kdim(parse(tree_count_src(16)), 2, 2).clauses) == 143
 
 
 def test_every_stats_entry_reaches_trace_once(monkeypatch, fib_bench):

@@ -5,9 +5,11 @@ import pytest
 
 from dimsolve.kdim import clause_count, kdim
 from dimsolve.parser import parse
-from dimsolve.syntax import Program, is_linear, render_clause, render_program
+from dimsolve.syntax import ATMOST, PredRef, is_linear, render_clause, render_program
+from dimsolve.trees import contract_skeleton, dim, enumerate_contracted, enumerate_trees
 
-from conftest import FIB_SRC, alpha_equal, multiset_alpha_equal, random_program
+from conftest import (FIB_SRC, alpha_equal, multiset_alpha_equal, random_program,
+                      tree_count_src)
 
 FIG3_SRC = """\
 fib(0)(A,A) :- A>=0, A=<1.
@@ -46,6 +48,8 @@ def test_clause_count_against_output(fib):
         for k in range(3):
             assert clause_count(p, k) == len(kdim(p, k).clauses)
     assert clause_count(parse("p."), 5) == len(kdim(parse("p."), 5).clauses) == 22
+    wide = parse(tree_count_src(12))
+    assert clause_count(wide, 3) == len(kdim(wide, 3).clauses)
 
 
 def test_monotone_inclusion(fib):
@@ -120,42 +124,44 @@ def test_rejects_lowest_outside_levels(fib, k, lowest):
         kdim(fib, k, lowest)
 
 
-def kdim_pairs(p, k):
-    """kdim(p, k) with rule 2b restricted to two-element tie sets: the
-    rule-2b clauses whose tie set has more than two members are dropped."""
-    return Program.from_clauses(
-        c for c in kdim(p, k).clauses
-        if not (c.provenance[0] == "rule2b" and len(c.provenance[3]) > 2))
-
-
-def test_pairs_mode_agrees_on_binary_bodies(fib):
-    # bodies of two atoms: both tie-set rules coincide
-    assert multiset_alpha_equal(kdim(fib, 2).clauses, kdim_pairs(fib, 2).clauses)
-
-
 TRIPLE_SRC = """\
 t(X) :- X = 0.
 s(X) :- X = 0, X1 = 0, X2 = 0, X3 = 0, t(X1), t(X2), t(X3).
 """
 
+# the same three-child node over binary ``t``, whose subtrees reach dimension 1
+TRIPLE_DEEP_SRC = """\
+t(X) :- X = 0.
+t(X) :- X = 0, X1 = 0, X2 = 0, t(X1), t(X2).
+s(X) :- X = 0, X1 = 0, X2 = 0, X3 = 0, t(X1), t(X2), t(X3).
+"""
 
-def test_pairs_mode_misses_three_way_ties():
-    """A three-child node whose children tie at the same dimension has
-    dimension one more, but the two-element tie rule cannot produce it; the
-    full-subset rule covers it.  Recorded as a regression, not patched away
-    silently: level-1 programs restricted to pairs have no clause for it."""
-    from dimsolve.syntax import PredRef
-    from dimsolve.trees import (contract_skeleton, dim, enumerate_contracted,
-                                enumerate_trees)
 
-    p = parse(TRIPLE_SRC)
-    triple = next(t for t in enumerate_trees(p, PredRef("s"), 9)
-                  if len(t.children) == 3)
-    assert dim(triple) == 1
+@pytest.mark.parametrize("src, d, budget", [(TRIPLE_SRC, 1, 9),
+                                            (TRIPLE_DEEP_SRC, 2, 10)],
+                         ids=["d1", "d2"])
+def test_three_way_tie_derived_by_a_pair_clause(src, d, budget):
+    """Three children tied at d-1 give a node of dimension d, and a rule-2b
+    clause naming two of them, with the third at [d-1], derives it."""
+    p = parse(src)
+    triple = next(t for t in enumerate_trees(p, PredRef("s"), budget)
+                  if len(t.children) == 3 and all(dim(c) == d - 1 for c in t.children))
+    assert dim(triple) == d
 
-    def contracted(kp):
-        return {contract_skeleton(kp, t)
-                for t in enumerate_contracted(kp, PredRef("s", "atmost", 1), 9)}
+    kp = kdim(p, d)
+    by_id = {c.id: c for c in kp.clauses}
+    # the root is the bookkeeping step s[d] :- s(d); its child is the tie
+    ties = [by_id[t.children[0].label].provenance
+            for t in enumerate_contracted(kp, PredRef("s", ATMOST, d), budget)
+            if contract_skeleton(kp, t) == triple]
+    assert ties
+    assert all(prov[0] == "rule2b" and len(prov[3]) == 2 for prov in ties)
 
-    assert triple in contracted(kdim(p, 1))
-    assert triple not in contracted(kdim_pairs(p, 1))
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_rule2b_has_one_clause_per_pair_and_level(r):
+    atoms = ", ".join(f"b(X{i})" for i in range(r))
+    p = parse(f"b(X) :- X = 0.\nh(X) :- X = 0, {atoms}.\n")
+    per_level = Counter(c.provenance[2] for c in kdim(p, 3).clauses
+                        if c.provenance[0] == "rule2b")
+    assert per_level == {d: r * (r - 1) // 2 for d in (1, 2, 3)}
