@@ -1,7 +1,12 @@
 """Convex polyhedra in constraint form, with exact rational reasoning.
 
-Satisfiability and projection use Fourier-Motzkin elimination (equalities are
-substituted away Gaussian-style first); entailment reduces to satisfiability
+Projection uses Fourier-Motzkin elimination (equalities are substituted
+away Gaussian-style first), and so does satisfiability of rows over three or
+more variables.  Rows over at most two variables, nearly every ``sat`` a
+solve asks, are decided by ``_sat_two``: one equality substitution or one
+complete Fourier-Motzkin pass leaves a system in one variable, and that is
+empty exactly when its greatest lower bound exceeds its least upper bound,
+or meets it with either bound strict.  Entailment reduces to satisfiability
 of negations, and coverage by a union to region subtraction; the convex hull
 uses the standard lifted encoding; widening is the classic constraint-based
 operator with the usual refinement (``widen``).  Everything is exact; no
@@ -86,10 +91,10 @@ every number keeps the gcd, and ``#`` sorts before every character of a
 name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
 does.
 
-``sat``, ``entails``, ``project``, ``hull`` and ``simplify`` are pure
-functions of the dimensions and constraints of their operands (a
-``Polyhedron`` is immutable), so inside a ``memo()`` block each distinct
-call is computed once and its result reused.  ``entails`` checks the
+``sat``, ``entails``, ``project``, ``hull``, ``simplify`` and
+``_covered`` are pure functions of the dimensions and constraints of their
+operands (a ``Polyhedron`` is immutable), so inside a ``memo()`` block each
+distinct call is computed once and its result reused.  ``entails`` checks the
 dimensions before the lookup and keys on ``other``'s rows alone, which lie
 inside ``self``'s dimensions by then; the fixpoint's growth tests, its
 narrowing stop test and ``models``' maximal facts ask many pairs again.
@@ -98,9 +103,10 @@ exactly for empty rows, under ``("project", rows, keep)``, so ``models``
 projects a clause body with no polyhedron and no second ``sat``.
 A simplified polyhedron is nonempty.  ``simplify`` is idempotent, so its
 result is also stored as its own simplification.  The block also holds the
-solve's deadline, which ``_eliminate`` checks on entry and once per
-elimination step, so the deadline holds inside a single hull or clause
-check.
+solve's deadline, which ``_sat_two`` and ``_eliminate`` check on entry and
+``_eliminate`` once per elimination step, so the deadline holds inside a
+single hull or clause check.  ``_sat_two`` keeps the row cap too: more than
+``_ROW_CAP`` pairs raise ``RowCapExceeded``.
 ``models.head_image`` stores its clause images in the same table.  Table
 and deadline live in context variables: nested blocks share them, and the
 outermost block drops both on exit.  Outside a block nothing is stored and
@@ -403,11 +409,89 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
             for cs, const, rel, _ in rows]
 
 
+def _sat_two(rows) -> bool | None:
+    """Whether the rows ``rows`` hold of some point, decided directly when
+    they mention at most two variables, ``x`` (the first name met) and
+    ``y``; None when a third name appears.
+
+    One equality with a nonzero coefficient is substituted into every other
+    row, as ``_eliminate`` does; without one, a single Fourier-Motzkin pass
+    combines each pair of rows with opposite signs on ``x``.  Either way
+    one variable is left, and its greatest lower bound is compared with its
+    least upper bound.  The deadline is checked on entry, and more than
+    ``_ROW_CAP`` pairs raise ``RowCapExceeded``.
+    """
+    _check_deadline()
+    x = y = None
+    packed = []  # (x coefficient, y coefficient, const, rel)
+    for terms, const, rel in rows:
+        a = b = 0
+        for v, k in terms:
+            if x is None or v == x:
+                x, a = v, k
+            elif y is None or v == y:
+                y, b = v, k
+            else:
+                return None
+        packed.append((a, b, const, rel))
+    eq = next((r for r in packed if r[3] == EQ and (r[0] or r[1])), None)
+    line = []  # (coefficient, const, rel) rows over the variable left
+    if eq is not None:
+        j = 0 if eq[0] else 1  # the column substituted away
+        e = eq[j]
+        for r in packed:
+            if r is eq:
+                continue
+            # cross-multiply; the weight on r stays positive so an
+            # inequality keeps its direction
+            w, u = abs(e), -r[j] if e > 0 else r[j]
+            row = w * r[1 - j] + u * eq[1 - j], w * r[2] + u * eq[2]
+            if r[3] == EQ:
+                line += [(*row, LE), (-row[0], -row[1], LE)]
+            else:
+                line.append((*row, r[3]))
+    else:
+        pos = [r for r in packed if r[0] > 0]
+        neg = [r for r in packed if r[0] < 0]
+        if len(pos) * len(neg) > _ROW_CAP:
+            raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
+        line = [r[1:] for r in packed if not r[0]]
+        for p in pos:
+            for n in neg:
+                line.append((-n[0] * p[1] + p[0] * n[1], -n[0] * p[2] + p[0] * n[2],
+                             LT if LT in (p[3], n[3]) else LE))
+    lo = hi = None  # (num, den, strict): the bound num/den, den > 0
+    for c, const, rel in line:
+        if not c:
+            if _is_false(const, rel):
+                return False
+            continue
+        # ``c*v + const REL 0`` bounds v by -const/c, from above when c > 0
+        num, den, strict = (-const, c, rel == LT) if c > 0 else (const, -c, rel == LT)
+        if c > 0:
+            if hi is None or (num * hi[1], not strict) < (hi[0] * den, not hi[2]):
+                hi = num, den, strict
+        elif lo is None or (num * lo[1], strict) > (lo[0] * den, lo[2]):
+            lo = num, den, strict
+    if lo is None or hi is None:
+        return True
+    gap = hi[0] * lo[1] - lo[0] * hi[1]
+    return gap > 0 or gap == 0 and not (lo[2] or hi[2])
+
+
 def _sat(rows: tuple) -> bool:
     """Whether the pruned rows ``rows`` hold of some point, memoized under
-    ``("sat", rows)``."""
-    return _memoized(("sat", rows), lambda: _eliminate(
-        list(rows), {v for r in rows for v, _ in r.terms}) is not None)
+    ``("sat", rows)``.  Rows over at most two variables are decided by
+    ``_sat_two``, exactly: one equality substitution or one complete
+    Fourier-Motzkin pass leaves a system in one variable, whose emptiness is
+    an interval test.  It checks the deadline and the row cap as
+    ``_eliminate`` does, which decides rows over more variables."""
+    def compute():
+        out = _sat_two(rows)
+        if out is None:
+            out = _eliminate(list(rows), {v for r in rows for v, _ in r.terms}) is not None
+        return out
+    return _memoized(("sat", rows), compute)
 
 
 def _project(rows, keep: tuple) -> tuple | None:
@@ -468,28 +552,33 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
     ``r`` minus a head is the union of the pieces ``r`` with one negation
     of one head row; the pieces may overlap.  A head row that ``r``
     implies by ``_row_entails`` adds no piece, and each other piece is the
-    row tuple that ``_entails`` asks about for that head row.
+    row tuple that ``_entails`` asks about for that head row.  Memoized
+    under ``("covered", body rows, head rows per head)``.
     """
-    regions = [body.constraints]
-    created = 0
-    for head in heads:
-        next_regions = []
-        for r in regions:
-            for c in head.constraints:
-                if _row_entails(r, c):
-                    continue  # every piece of ``c`` would be empty
-                for neg in c.negations():
-                    piece = _prune(r + (neg,))
-                    created += 1
-                    if created > _SPLIT_BUDGET:
-                        raise SplitBudgetExceeded(
-                            "region subtraction split budget exceeded")
-                    if piece is not None and _sat(piece):
-                        next_regions.append(piece)
-        regions = next_regions
-        if not regions:
-            return True
-    return not regions
+    heads = tuple(h.constraints for h in heads)
+
+    def compute():
+        regions = [body.constraints]
+        created = 0
+        for head in heads:
+            next_regions = []
+            for r in regions:
+                for c in head:
+                    if _row_entails(r, c):
+                        continue  # every piece of ``c`` would be empty
+                    for neg in c.negations():
+                        piece = _prune(r + (neg,))
+                        created += 1
+                        if created > _SPLIT_BUDGET:
+                            raise SplitBudgetExceeded(
+                                "region subtraction split budget exceeded")
+                        if piece is not None and _sat(piece):
+                            next_regions.append(piece)
+            regions = next_regions
+            if not regions:
+                return True
+        return not regions
+    return _memoized(("covered", body.constraints, heads), compute)
 
 
 def _nonempty(dims, rows) -> "Polyhedron":

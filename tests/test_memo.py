@@ -16,7 +16,9 @@ from dimsolve.driver import Config, solve
 from dimsolve.kdim import kdim
 from dimsolve.linear_solver import solve_linear
 from dimsolve.models import linearize
-from dimsolve.polyhedra import DimensionMismatch, Polyhedron, RowCapExceeded, memo
+from dimsolve.polyhedra import (DimensionMismatch, Polyhedron, RowCapExceeded,
+                                 SplitBudgetExceeded, memo)
+from dimsolve.terms import EQ
 
 from conftest import C, poly, random_constraint, random_poly, random_program
 
@@ -99,6 +101,30 @@ def test_coverage_after_entailment_asks_no_new_sat(monkeypatch):
         assert polyhedra._covered(body, [head])
     sats = [key for key in asked if key[0] == "sat"]
     assert len(sats) == 2 and set(sats) <= stored
+
+
+def test_repeated_coverage_check_reads_one_key(monkeypatch):
+    # the body less the first head leaves A > 2, which the second covers
+    body = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -5), C({"A": 1, "B": -1}, 0, EQ))
+    heads = [poly(("A", "B"), C({"A": 1}, -2)), poly(("A", "B"), C({"A": -1}, 2))]
+    key = ("covered", body.constraints, tuple(h.constraints for h in heads))
+    asked = []
+    memoized = polyhedra._memoized
+
+    def recorded(key, compute):
+        asked.append(key)
+        return memoized(key, compute)
+    with memo() as table:
+        assert polyhedra._covered(body, heads)
+        assert table[key] is True
+        monkeypatch.setattr(polyhedra, "_memoized", recorded)
+        assert polyhedra._covered(body, heads)
+    assert asked == [key]
+    monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 0)
+    with memo() as table:
+        with pytest.raises(SplitBudgetExceeded):
+            polyhedra._covered(body, heads)
+        assert key not in table
 
 
 def _ops(a, b):

@@ -117,10 +117,16 @@ def test_region_pieces_build_no_polyhedron(monkeypatch):
     p = parse("r(Y) :- Y = X, q(X).")
     m = model_of((PredRef("q"), interval(0, 9)),
                  *((PredRef("r"), r) for r in (interval(0, 4), interval(4, 9))))
-    with memo():
+
+    def forget_coverage():  # so that the next check splits regions again
+        for key in [key for key in table if key[0] == "covered"]:
+            del table[key]
+    with memo() as table:
         assert satisfies_clause(m, p.clauses[0])
+        forget_coverage()
         built = count_constructions(monkeypatch)
         assert satisfies_clause(m, p.clauses[0])
+        forget_coverage()
         monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 0)  # a piece is made
         with pytest.raises(SplitBudgetExceeded):
             satisfies_clause(m, p.clauses[0])

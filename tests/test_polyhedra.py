@@ -702,6 +702,78 @@ def test_kernel_matches_reference_elimination(monkeypatch):
     assert 0 < capped < len(systems)
 
 
+def _two_variable_system(rng):
+    """Pruned rows over ``A`` and ``B`` or ``A`` alone, with coefficients
+    up to 3 or up to 10**6: zero to two equalities (the second one random,
+    a multiple of the first or parallel to it with another constant),
+    strict and non-strict inequalities, and opposite bounds at one value."""
+    names = ("A", "B") if rng.random() < 0.8 else ("A",)
+    big = rng.choice([3, 10**6])
+
+    def lhs():
+        while True:
+            cs = {v: rng.randint(-big, big) for v in names if rng.random() < 0.8}
+            if any(cs.values()):
+                return cs
+    rows = []
+    for i in range(rng.choice([0, 0, 1, 2])):
+        cs, k = lhs(), rng.randint(-2 * big, 2 * big)
+        if i and rng.random() < 0.6:
+            m = rng.choice([-2, 1, 3])
+            cs = {v: m * c for v, c in first[0].items()}
+            k = m * first[1] + (0 if rng.random() < 0.5 else rng.choice([-1, 1]))
+        first = cs, k
+        rows.append(C(cs, k, EQ))
+    for _ in range(rng.randint(0, 5)):
+        rows.append(C(lhs(), rng.randint(-2 * big, 2 * big), rng.choice([LE, LT])))
+    if rng.random() < 0.3:  # lhs + k bounded from both sides at 0
+        cs, k = lhs(), rng.randint(-big, big)
+        rows += [C(cs, k, LE), C({v: -c for v, c in cs.items()}, -k, rng.choice([LE, LT]))]
+    return polyhedra._prune(rows)
+
+
+def test_two_variable_sat_matches_reference_elimination(monkeypatch):
+    hand = [([C({"A": 2}, -1, EQ)], True),  # A = 1/2
+            ([C({"A": -1}, 1), C({"A": 1}, -1), C({"A": 1}, -1, LT)], False),
+            ([C({"A": -1, "B": 1}, 1), C({"A": 1, "B": -1}, 0)], False),
+            ([C({"A": -1}, 1), C({"A": 1}, -1)], True),
+            ([C({"A": 1, "B": -1}, 0, EQ), C({"A": 2, "B": -2}, 1, EQ)], False),
+            ([C({"A": 1, "B": 1}, -1, EQ), C({"A": 1, "B": -1}, 0, EQ), C({"A": -1}, 1)], False),
+            # after the substitution, two upper (lower) bounds at 1, one strict
+            ([C({"A": 1, "B": -1}, 0, EQ), C({"A": -1}, 1), C({"A": 1}, -1), C({"B": 1}, -1, LT)],
+             False),
+            ([C({"A": 1, "B": -1}, 0, EQ), C({"A": 1}, -1), C({"A": -1}, 1), C({"B": -1}, 1, LT)],
+             False)]
+    rng = random.Random(30)
+    systems = [_two_variable_system(rng) for _ in range(2400)]
+    expected = [_reference_eliminate(list(rows), {"A", "B"}) is not None for rows in systems]
+    monkeypatch.setattr(polyhedra, "_eliminate", None)  # no system reaches it
+    for rows, want in hand + list(zip(systems, expected)):
+        rows = polyhedra._prune(rows)
+        with memo():
+            assert polyhedra._sat(rows) == want, rows
+        # reversed, the rows pick another equality or pairing variable
+        assert polyhedra._sat_two(rows[::-1]) == want, rows
+    assert 1000 < sum(expected) < 1400  # of 2400
+    assert {sum(r.rel == EQ for r in rows) for rows in systems} == {0, 1, 2}
+    assert any(r.rel == LT for rows in systems for r in rows)
+
+
+def test_three_variable_sat_reaches_elimination(monkeypatch):
+    calls = []
+    eliminate = polyhedra._eliminate
+
+    def counting(rows, elim):
+        calls.append(rows)
+        return eliminate(rows, elim)
+    monkeypatch.setattr(polyhedra, "_eliminate", counting)
+    rows = polyhedra._prune([C({"A": 1, "B": -1}, 0), C({"B": 1, "C": -1}, 0),
+                             C({"C": 1, "A": -1}, 1)])  # A =< B =< C =< A - 1
+    with memo():
+        assert not polyhedra._sat(rows)
+    assert len(calls) == 1
+
+
 def _rows(text):
     """Constraints read back exactly from ``render_constraint`` text, which
     the program parser would not do: it reads ``<`` as ``=<`` with the
