@@ -157,6 +157,9 @@ def _run(args) -> int:
     # default: solve
     if args.dump_trees is None and (args.root is not None or args.max_nodes is not None):
         return _fail("--root and --max-nodes apply only with --dump-trees")
+    if args.dump_trees is not None and (args.emit_model is not None or args.trace
+                                        or args.timeout_s is not None):
+        return _fail("--emit-model, --trace and --timeout-s apply only without --dump-trees")
     if args.max_k < 0:
         return _fail("--max-k must be nonnegative")
     if args.max_nodes is not None and args.max_nodes < 1:

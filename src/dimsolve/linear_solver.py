@@ -28,9 +28,10 @@ makes many): they never change within a solve, so the chain's prefix over
 them is a hit in the solve's table from the first round on, in ``step`` and
 ``_contributions`` alike, and only the hulls after it are computed again.
 That keeps every row of the result because a hull chain's rows do not
-depend on the order of its operands.  ``entails`` is memoized in the same
-table: the growth tests and the narrowing stop test ask the same pairs
-again round after round.
+depend on the order of its operands.  ``entails`` asks
+``polyhedra._covered``, which is memoized in the same table: the growth
+tests and the narrowing stop test ask the same pairs again round after
+round.
 
 No stored interpretation is empty, so no round tests one for emptiness:
 ``head_image`` gives None for an unsatisfiable body, and hulls and

@@ -22,8 +22,8 @@ renamed onto the atom's arguments, projected on rows
 (``polyhedra._project``).  ``linearize`` emits those rows, and
 ``head_image`` builds one polyhedron, the image it keeps.  Inside a
 ``polyhedra.memo()`` block, ``head_image`` stores each image, None
-included, in the table that also reuses each distinct ``sat``, ``entails``,
-``project``, ``hull`` and ``simplify`` call.  An image is a pure function
+included, in the table that also reuses each distinct ``sat``, ``project``,
+``hull``, ``simplify`` and ``_covered`` call.  An image is a pure function
 of what ``Clause.__eq__`` compares and of the chosen ``(atom, polyhedron)``
 pairs, so the fixpoint rounds, the soundness gate and ``violations`` of
 one solve compute each distinct image once.
@@ -127,10 +127,10 @@ def _head_image(clause: Clause, chosen) -> Polyhedron | None:
 
 
 def satisfies_clause(m: Model, clause: Clause) -> bool:
-    heads = m.facts_for(clause.head.pred)
+    heads = tuple(h.constraints for h in m.facts_for(clause.head.pred))
     for choice in product(*(m.facts_for(a.pred) for a in clause.body)):
         image = head_image(clause, zip(clause.body, choice))
-        if image is not None and not _covered(image, heads):
+        if image is not None and not _covered(image.constraints, heads):
             return False
     return True
 

@@ -6,11 +6,11 @@ more variables.  Rows over at most two variables, nearly every ``sat`` a
 solve asks, are decided by ``_sat_two``: one equality substitution or one
 complete Fourier-Motzkin pass leaves a system in one variable, and that is
 empty exactly when its greatest lower bound exceeds its least upper bound,
-or meets it with either bound strict.  Entailment reduces to satisfiability
-of negations, and coverage by a union to region subtraction; the convex hull
-uses the standard lifted encoding; widening is the classic constraint-based
-operator with the usual refinement (``widen``).  Everything is exact; no
-floating point anywhere.
+or meets it with either bound strict.  Entailment is coverage by one head,
+and coverage by a union of heads is region subtraction, whose pieces are
+decided by satisfiability; the convex hull uses the standard lifted
+encoding; widening is the classic constraint-based operator with the usual
+refinement (``widen``).  Everything is exact; no floating point anywhere.
 
 A ``Constraint`` is the row ``(terms, const, rel)``.  ``_eliminate`` packs
 its input rows once, with ``terms`` as a tuple of one integer coefficient
@@ -48,41 +48,41 @@ row with its own mask is unsound: the rule then drops combinations of that
 row that the weaker row's mask would have let through, and ``sat`` can
 answer true for an infeasible system.
 
-Entailment is decided on rows: ``_entails(rows, signs, c)`` takes a pruned
-row tuple and its Farkas sign set and builds no polyhedron.  Two shortcuts
-settle some questions without an elimination, each only where
+Every containment question goes to one routine, ``_covered(rows,
+heads)``: do the nonempty pruned rows ``rows`` lie inside the union of the
+heads, each head a tuple of rows?  ``entails`` asks it with ``other``'s rows
+as the one head, ``entails_constraint``, ``_simplify`` and widening's swap
+test with the one row ``c``, and ``models.satisfies_clause`` with a clause
+image and the head facts.  It subtracts regions: a region ``r`` minus a head
+is the union of the pieces ``r`` with one negation of one head row, pruned;
+the pieces may overlap, and covered means that nothing satisfiable is left.
+Two tests settle a head row without an elimination, each only where
 Fourier-Motzkin would give the same answer:
 
-- ``c`` is implied when ``_row_entails``: the constraint is a row, or it is
-  an inequality and a non-equality row with the same terms has a bound at
-  least as strong, in ``_prune``'s order.  A row implies what it
-  dominates.  ``entails`` and ``widen`` reach Fourier-Motzkin only through
-  ``entails_constraint``, and ``_covered`` uses the same test to split
-  off no pieces for a head row that the region implies;
-- otherwise, by Farkas' lemma (Schrijver, *Theory of Linear and Integer
-  Programming*, 1986), a nonempty polyhedron implies ``c`` only when each
-  variable of ``c`` occurs with its sign in ``c`` in an inequality row or
-  occurs in an equality row (both signs for an equality ``c``).  Where one
-  does not, ``_entails`` answers None, and ``entails_constraint`` answers
-  ``is_empty()``, the memoized ``sat`` of the polyhedron.  A polyhedron
-  builds its sign set on its first ``entails_constraint`` and keeps it.
+- a head row that ``r`` implies by ``_row_entails`` adds no piece: the row
+  is a row of ``r``, or it is an inequality and a non-equality row of ``r``
+  with the same terms has a bound at least as strong, in ``_prune``'s
+  order.  A row implies what it dominates;
+- at the last head, by Farkas' lemma (Schrijver, *Theory of Linear and
+  Integer Programming*, 1986), a nonempty region implies ``c`` only when
+  each variable of ``c`` occurs with its sign in ``c`` in an inequality row
+  or occurs in an equality row (both signs for an equality ``c``).  Where
+  one does not, a point of ``r`` lies outside ``c``, so outside every head,
+  and the answer is False.
 
-Otherwise ``c`` is implied when the rows with each negation of ``c``,
-pruned, are unsatisfiable.  Each such ``sat`` is stored under the same
-``("sat", rows)`` key as ``Polyhedron.sat``.  A region piece of
-``_covered`` is a region's rows with one negated head row, pruned, so a
-piece of the body is the very row tuple that ``_entails`` asks about, and
-after ``body.entails(head)`` its ``sat`` is a table hit.
+In the same way the first satisfiable piece at the last head answers False.
+Both exits are exact because every region is nonempty: later regions are
+pieces that passed ``sat``, and callers pass nonempty rows (``entails`` and
+``entails_constraint`` answer an empty polyhedron first, the row subsets of
+``_simplify`` and of widening's swap test hold ``self``, and a clause image
+is satisfiable).  Each piece's ``sat`` is stored under the same
+``("sat", rows)`` key as ``Polyhedron.sat``.
 
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
 operands are nonempty by then, and it holds both) and widening's kept rows
-(they hold ``other``).  On these, ``_simplify``'s opening emptiness test and
-the ``is_empty()`` of ``entails_constraint`` after a failed sign test run no
-elimination.  Each row subset ``_simplify`` tests a row against holds
-``self``, and so does each swapped row set of widening's refinement (``self``
-implies the row swapped in), so there a failed sign test means "not
-implied", and neither builds a polyhedron.
+(they hold ``other``).  On these, the emptiness tests that open
+``_simplify``, ``entails`` and ``entails_constraint`` run no elimination.
 
 Rows derived from rows in normal form are built in normal form, without
 ``Constraint.make``: the hull's lifted rows and its ``x = y + z`` and ``s``
@@ -91,13 +91,13 @@ every number keeps the gcd, and ``#`` sorts before every character of a
 name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
 does.
 
-``sat``, ``entails``, ``project``, ``hull``, ``simplify`` and
-``_covered`` are pure functions of the dimensions and constraints of their
-operands (a ``Polyhedron`` is immutable), so inside a ``memo()`` block each
-distinct call is computed once and its result reused.  ``entails`` checks the
-dimensions before the lookup and keys on ``other``'s rows alone, which lie
-inside ``self``'s dimensions by then; the fixpoint's growth tests, its
-narrowing stop test and ``models``' maximal facts ask many pairs again.
+``sat``, ``project``, ``hull``, ``simplify`` and ``_covered`` are pure
+functions of the dimensions and constraints of their operands (a
+``Polyhedron`` is immutable), so inside a ``memo()`` block each distinct
+call is computed once and its result reused.  ``_covered`` keys on rows
+alone, under ``("covered", rows, heads)``; ``entails`` checks the
+dimensions first.  The fixpoint's growth tests, its narrowing stop test and
+``models``' maximal facts ask many pairs again.
 ``_project`` prunes rows in any order and stores its tested result, None
 exactly for empty rows, under ``("project", rows, keep)``, so ``models``
 projects a clause body with no polyhedron and no second ``sat``.
@@ -527,45 +527,36 @@ def _sign_set(rows) -> set:
             for s in ((True, False) if r.rel == EQ else (k > 0,))}
 
 
-def _entails(rows: tuple, signs: set, c: Constraint) -> bool | None:
-    """Whether the pruned rows ``rows``, with sign set ``signs``, imply
-    ``c``; None when the sign test fails: then they imply ``c`` exactly when
-    they are empty."""
-    if _row_entails(rows, c):
-        return True
-    # Farkas: each term of c needs a row with its sign (module docstring)
-    if not all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
-               for v, k in c.terms):
-        return None
-    for n in c.negations():
-        more = _prune(rows + (n,))
-        if more is not None and _sat(more):
-            return False
-    return True
+def _covered(rows: tuple, heads: tuple) -> bool:
+    """True iff every rational point of the nonempty pruned rows ``rows``
+    satisfies every row of some head, each head a tuple of rows.
 
-
-def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
-    """True iff every rational point of ``body`` lies in some head region.
-
-    Region subtraction: peel each head region off the body; covered iff
-    nothing satisfiable remains.  Regions are pruned row tuples.  A region
-    ``r`` minus a head is the union of the pieces ``r`` with one negation
-    of one head row; the pieces may overlap.  A head row that ``r``
-    implies by ``_row_entails`` adds no piece, and each other piece is the
-    row tuple that ``_entails`` asks about for that head row.  Memoized
-    under ``("covered", body rows, head rows per head)``.
+    Region subtraction: peel each head off the rows; covered iff nothing
+    satisfiable remains.  Regions are pruned row tuples.  A region ``r``
+    minus a head is the union of the pieces ``r`` with one negation of one
+    head row; the pieces may overlap.  A head row that ``r`` implies by
+    ``_row_entails`` adds no piece.  Every region is nonempty, so at the
+    last head a failed sign test (Farkas) or a satisfiable piece shows a
+    point that no head holds, and the answer is False at once.  Memoized under
+    ``("covered", rows, heads)``.
     """
-    heads = tuple(h.constraints for h in heads)
-
     def compute():
-        regions = [body.constraints]
+        regions = [rows]
         created = 0
-        for head in heads:
+        for i, head in enumerate(heads):
+            last = i == len(heads) - 1
             next_regions = []
             for r in regions:
+                signs = None
                 for c in head:
                     if _row_entails(r, c):
                         continue  # every piece of ``c`` would be empty
+                    if last:
+                        signs = signs or _sign_set(r)
+                        # Farkas: each term of c needs a row with its sign
+                        if not all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
+                                   for v, k in c.terms):
+                            return False
                     for neg in c.negations():
                         piece = _prune(r + (neg,))
                         created += 1
@@ -573,12 +564,14 @@ def _covered(body: Polyhedron, heads: list[Polyhedron]) -> bool:
                             raise SplitBudgetExceeded(
                                 "region subtraction split budget exceeded")
                         if piece is not None and _sat(piece):
+                            if last:
+                                return False
                             next_regions.append(piece)
             regions = next_regions
             if not regions:
                 return True
         return not regions
-    return _memoized(("covered", body.constraints, heads), compute)
+    return _memoized(("covered", rows, heads), compute)
 
 
 def _nonempty(dims, rows) -> "Polyhedron":
@@ -598,14 +591,13 @@ def _check_dims(terms, dims) -> None:
 class Polyhedron:
     """A conjunction of atomic constraints over an ordered variable tuple."""
 
-    __slots__ = ("dims", "constraints", "_sat", "_signs")
+    __slots__ = ("dims", "constraints", "_sat")
 
     def __init__(self, dims, constraints=()):
         self.dims = tuple(dims)
         if len(set(self.dims)) != len(self.dims):
             repeated = next(d for i, d in enumerate(self.dims) if d in self.dims[:i])
             raise DimensionMismatch(f"dimension {repeated!r} repeated")
-        self._signs = None
         rows = _prune(constraints)
         if rows is None:
             self.constraints = (FALSE_CONSTRAINT,)
@@ -634,20 +626,14 @@ class Polyhedron:
         return Polyhedron(dims, [c.rename(mapping) for c in self.constraints])
 
     def entails_constraint(self, c: Constraint) -> bool:
-        if self._signs is None:
-            self._signs = _sign_set(self.constraints)
-        out = _entails(self.constraints, self._signs, c)
-        if out is not None:
-            return out
         if self.constraints != (FALSE_CONSTRAINT,):  # bottom takes any c
             _check_dims(c.terms, self.dims)
-        return self.is_empty()
+        return self.is_empty() or _covered(self.constraints, ((c,),))
 
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        return _memoized(("entails", self.dims, self.constraints, other.constraints),
-                         lambda: all(self.entails_constraint(c) for c in other.constraints))
+        return self.is_empty() or _covered(self.constraints, (other.constraints,))
 
     def project(self, keep) -> "Polyhedron":
         keep = tuple(keep)
@@ -713,10 +699,8 @@ class Polyhedron:
             if b in kept or not self.entails_constraint(b):
                 continue
             for a in cs1:
-                rows = _prune([x for x in cs1 if x != a] + [b])
-                # the swapped rows hold ``self``, so they are nonempty, and
-                # a failed sign test (None) means that they do not imply ``a``
-                if _entails(rows, _sign_set(rows), a):
+                # the swapped rows hold ``self``, so they are nonempty
+                if _covered(_prune([x for x in cs1 if x != a] + [b]), ((a,),)):
                     kept.append(b)
                     break
         return _nonempty(self.dims, kept).simplify()
@@ -732,9 +716,8 @@ class Polyhedron:
         kept = _prune(_recombine(self.constraints))
         for c in kept[::-1]:
             rest = tuple([k for k in kept if k != c])
-            # ``rest`` holds ``self``, so it is nonempty, and a failed sign
-            # test (None) means that it does not imply ``c``
-            if _entails(rest, _sign_set(rest), c):
+            # ``rest`` holds ``self``, so it is nonempty
+            if _covered(rest, ((c,),)):
                 kept = rest
         out = _nonempty(self.dims, kept)
         # simplifying ``out`` again gives ``out``

@@ -126,6 +126,8 @@ def test_usage_error_exit_one(capsys):
 
 WIDEN_DELAY_REJECTED = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\n"
                         "dimsolve: error: unrecognized arguments: --widen-delay=1\n")
+SOLVE_ONLY_REJECTED = ("dimsolve: --emit-model, --trace and --timeout-s apply only "
+                       "without --dump-trees\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -142,9 +144,14 @@ WIDEN_DELAY_REJECTED = ("usage: dimsolve [-h] {solve,kdim,solve-linear,dim} ...\
     # without --dump-trees no tree is dumped, so neither option is read
     (["--max-nodes", "0"], "dimsolve: --root and --max-nodes apply only with --dump-trees\n"),
     (["--root", "Bad"], "dimsolve: --root and --max-nodes apply only with --dump-trees\n"),
+    # a dump runs no solve, so no model is written, no level traced, no clock read
+    (["--dump-trees", "1", "--emit-model", "model.pl"], SOLVE_ONLY_REJECTED),
+    (["--dump-trees", "1", "--trace"], SOLVE_ONLY_REJECTED),
+    (["--dump-trees", "1", "--timeout-s", "0"], SOLVE_ONLY_REJECTED),
 ], ids=["max-k", "max-nodes", "widen-delay", "solve-linear-widen-delay", "dump-trees",
         "timeout-s-negative", "timeout-s-nan", "dump-trees-root", "kdim-k",
-        "max-nodes-without-dump-trees", "root-without-dump-trees"])
+        "max-nodes-without-dump-trees", "root-without-dump-trees",
+        "emit-model-with-dump-trees", "trace-with-dump-trees", "timeout-s-with-dump-trees"])
 def test_bad_bound_exit_one(tmp_path, capsys, args, message):
     # inductive at level 0, so an unchecked --max-k would print SOLVED
     f = tmp_path / "zero.pl"

@@ -18,7 +18,7 @@ from dimsolve.linear_solver import solve_linear
 from dimsolve.models import linearize
 from dimsolve.polyhedra import (DimensionMismatch, Polyhedron, RowCapExceeded,
                                  SplitBudgetExceeded, memo)
-from dimsolve.terms import EQ
+from dimsolve.terms import EQ, FALSE_CONSTRAINT as FALSE
 
 from conftest import C, poly, random_constraint, random_poly, random_program
 
@@ -94,11 +94,15 @@ def test_coverage_after_entailment_asks_no_new_sat(monkeypatch):
     def recorded(key, compute):
         asked.append(key)
         return memoized(key, compute)
+    key = ("covered", body.constraints, (head.constraints,))
     with memo() as table:
         assert body.entails(head)
         stored = set(table)
+        # ``entails`` stored the coverage answer; drop it so that the
+        # pieces are split again
+        assert table.pop(key) is True
         monkeypatch.setattr(polyhedra, "_memoized", recorded)
-        assert polyhedra._covered(body, [head])
+        assert polyhedra._covered(body.constraints, (head.constraints,))
     sats = [key for key in asked if key[0] == "sat"]
     assert len(sats) == 2 and set(sats) <= stored
 
@@ -106,8 +110,9 @@ def test_coverage_after_entailment_asks_no_new_sat(monkeypatch):
 def test_repeated_coverage_check_reads_one_key(monkeypatch):
     # the body less the first head leaves A > 2, which the second covers
     body = poly(("A", "B"), C({"A": -1}, 0), C({"A": 1}, -5), C({"A": 1, "B": -1}, 0, EQ))
-    heads = [poly(("A", "B"), C({"A": 1}, -2)), poly(("A", "B"), C({"A": -1}, 2))]
-    key = ("covered", body.constraints, tuple(h.constraints for h in heads))
+    heads = (poly(("A", "B"), C({"A": 1}, -2)).constraints,
+             poly(("A", "B"), C({"A": -1}, 2)).constraints)
+    key = ("covered", body.constraints, heads)
     asked = []
     memoized = polyhedra._memoized
 
@@ -115,15 +120,15 @@ def test_repeated_coverage_check_reads_one_key(monkeypatch):
         asked.append(key)
         return memoized(key, compute)
     with memo() as table:
-        assert polyhedra._covered(body, heads)
+        assert polyhedra._covered(body.constraints, heads)
         assert table[key] is True
         monkeypatch.setattr(polyhedra, "_memoized", recorded)
-        assert polyhedra._covered(body, heads)
+        assert polyhedra._covered(body.constraints, heads)
     assert asked == [key]
     monkeypatch.setattr(polyhedra, "_SPLIT_BUDGET", 0)
     with memo() as table:
         with pytest.raises(SplitBudgetExceeded):
-            polyhedra._covered(body, heads)
+            polyhedra._covered(body.constraints, heads)
         assert key not in table
 
 
@@ -153,7 +158,10 @@ def test_memoized_operations_equal_computed_ones():
         computed = _ops(_fresh(a), _fresh(b))
         with memo() as table:
             first = _ops(_fresh(a), _fresh(b))
-            assert ("entails", a.dims, a.constraints, b.constraints) in table
+            if a.sat():
+                assert ("covered", a.constraints, (b.constraints,)) in table
+            else:  # the stored ``sat`` answers; bottom knows it unstored
+                assert a.constraints == (FALSE,) or ("sat", a.constraints) in table
             stored = len(table)
             second = _ops(_fresh(a), _fresh(b))
             assert len(table) == stored  # the second round only reads

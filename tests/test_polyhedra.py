@@ -9,12 +9,14 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dimsolve import polyhedra
+from dimsolve import models, polyhedra
+from dimsolve.driver import Config, solve
 from dimsolve.models import Model
 from dimsolve.parser import _Parser
 from dimsolve.polyhedra import (DimensionMismatch, Polyhedron, SolverTimeout, _row_entails,
@@ -494,22 +496,22 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # each construction that starts with ``sat`` true contains a nonempty
     # polyhedron: the hull's lifted result, widening's kept rows and
     # simplify's result; so do the row subsets that simplify and widening's
-    # swap test hand to ``_entails``, where a failed sign test means "not
-    # implied".  Elimination must find a point in each
+    # swap test hand to ``_covered``, whose Farkas exit is exact only on
+    # nonempty rows.  Elimination must find a point in each
     marked, subsets = [], []
-    nonempty, entails = polyhedra._nonempty, polyhedra._entails
+    nonempty, covered = polyhedra._nonempty, polyhedra._covered
 
     def recording(dims, rows):
         out = nonempty(dims, rows)
         marked.append((sys._getframe(1).f_code.co_name, out))
         return out
 
-    def recording_rows(rows, signs, c):
+    def recording_rows(rows, heads):
         if sys._getframe(1).f_code.co_name in ("_simplify", "widen"):
             subsets.append(rows)
-        return entails(rows, signs, c)
+        return covered(rows, heads)
     monkeypatch.setattr(polyhedra, "_nonempty", recording)
-    monkeypatch.setattr(polyhedra, "_entails", recording_rows)
+    monkeypatch.setattr(polyhedra, "_covered", recording_rows)
     rng = random.Random(37)
     dims = ("x", "y", "z")
     for i in range(300):
@@ -772,6 +774,73 @@ def test_three_variable_sat_reaches_elimination(monkeypatch):
     with memo():
         assert not polyhedra._sat(rows)
     assert len(calls) == 1
+
+
+def _reference_covered(rows, heads) -> bool:
+    """Coverage by DNF expansion: a point outside every head satisfies one
+    negation of one row of each head, so ``rows`` are covered iff each
+    choice of one such negation per head, with ``rows``, is empty."""
+    negated = [[n for c in head for n in c.negations()] for head in heads]
+    return all(_reference_empty(list(rows) + list(pick)) for pick in itertools.product(*negated))
+
+
+def _coverage_case(rng):
+    """Nonempty pruned rows over ``x`` and ``y`` and zero to three heads,
+    each a random polyhedron, some rows of ``rows`` with their bounds moved,
+    or one side of a line whose other side another head may hold."""
+    dims = ("x", "y")
+    while True:
+        rows = random_poly(rng, dims, rng.randint(1, 4)).constraints
+        if not _reference_empty(list(rows)):
+            break
+    heads = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.random()
+        if kind < 0.4:
+            head = random_poly(rng, dims, rng.randint(1, 3)).constraints
+        elif kind < 0.7:
+            head = [C(dict(r.terms), r.const + rng.randint(-1, 1), rng.choice([r.rel, LE, LT]))
+                    for r in rows if rng.random() < 0.7]
+        else:
+            c = random_constraint(rng, dims)
+            side = C({v: -k for v, k in c.terms}, -c.const, rng.choice([LE, LE, LT]))
+            head = [rng.choice([c, side])]
+        heads.append(poly(dims, *head).constraints)
+    return rows, tuple(heads)
+
+
+def test_coverage_matches_reference_expansion():
+    rng = random.Random(32)
+    cases = [_coverage_case(rng) for _ in range(600)]
+    outcomes = Counter()
+    for i, (rows, heads) in enumerate(cases):
+        want = _reference_covered(rows, heads)
+        with memo() if i % 2 else contextlib.nullcontext():
+            assert polyhedra._covered(rows, heads) == want, (rows, heads)
+        outcomes[len(heads), want] += 1
+    # every head count occurs, and one to three heads each give both answers
+    assert {n for n, _ in outcomes} == {0, 1, 2, 3}
+    assert min(outcomes[n, w] for n in (1, 2, 3) for w in (True, False)) > 20, outcomes
+    head_rows = [r for _, heads in cases for h in heads for r in h]
+    assert {r.rel for r in head_rows} == {EQ, LE, LT}
+    assert any(r.rel == LT for rows, _ in cases for r in rows)
+
+
+def test_coverage_is_asked_of_nonempty_rows(fib, tree3, monkeypatch):
+    # the Farkas exit and the early exit are exact only on nonempty rows
+    calls = set()
+    covered = polyhedra._covered
+
+    def recording(rows, heads):
+        calls.add((rows, heads))
+        return covered(rows, heads)
+    monkeypatch.setattr(polyhedra, "_covered", recording)
+    monkeypatch.setattr(models, "_covered", recording)
+    for p, cfg in ((fib, Config()), (tree3, Config(max_k=4))):
+        solve(p, cfg)
+    assert all(not _reference_empty(list(rows)) for rows, _ in calls)
+    head_rows = {sum(map(len, heads)) for _, heads in calls}
+    assert 1 in head_rows and max(head_rows) > 1
 
 
 def _rows(text):
