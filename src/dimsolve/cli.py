@@ -14,6 +14,7 @@ Exit codes: 0 solved (or subcommand success), 2 unknown / not solved,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -179,9 +180,8 @@ def _run(args) -> int:
             return _fail(f"no clause has head {root}")
         try:
             # a --max-nodes below 1 was refused above
-            for i, t in enumerate(enumerate_trees(program, root, args.max_nodes or 9)):
-                if i >= args.dump_trees:
-                    break
+            trees = enumerate_trees(program, root, args.max_nodes or 9)
+            for t in itertools.islice(trees, args.dump_trees):
                 sys.stdout.write(render_tree(t))
                 print(f"# dim={dim(t)} height={height(t)}")
         except RecursionError:

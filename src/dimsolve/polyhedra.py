@@ -78,6 +78,27 @@ pieces that passed ``sat``, and callers pass nonempty rows (``entails`` and
 is satisfiable).  Each piece's ``sat`` is stored under the same
 ``("sat", rows)`` key as ``Polyhedron.sat``.
 
+The hull is the closed convex hull: the lifted encoding (Benoy & King,
+LOPSTR 1996) relaxes strict rows, and ``_eliminate`` removes the lifted
+variables.  When one operand lies inside the other and the outer one has
+no strict row, the hull is the outer one, simplified, with no elimination:
+the closed hull of nested operands is the closure of the outer one, and a
+polyhedron without strict rows is closed.  The two containment questions
+are ``entails``, so their answers are stored for the fixpoint's growth
+tests to read again.  For a full-dimensional outer operand the simplified
+rows are its facets, exactly the rows elimination gives; for a
+lower-dimensional one elimination may pick another equality basis of the
+same set, such as ``{A=1, 4*A-B=0}`` for ``{A=1, B=4}``.
+
+``_project`` skips ``_eliminate`` when it has nothing or everything to
+eliminate.  With every variable of the rows eliminated, elimination gives
+no rows for a satisfiable system and None for an empty one, so the answer
+is ``()`` or None by ``_sat``.  With nothing eliminated, the pruned rows
+are what ``_prune_masked`` would leave, unless an inequality's
+coefficients have a gcd above 1: such a row may be parallel to another, as
+``2*A+2*B=<3`` is to ``A+B=<1``, and only ``_prune_masked`` merges those,
+so then the rows still go through ``_eliminate``.
+
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
 operands are nonempty by then, and it holds both) and widening's kept rows
@@ -499,12 +520,22 @@ def _project(rows, keep: tuple) -> tuple | None:
     eliminated, pruned; None exactly when ``rows`` are unsatisfiable.
     Memoized under ``("project", rows, keep)`` with ``rows`` pruned, so in
     ``_prune``'s order (``_eliminate`` picks equalities in row order), and
-    with the projection's own ``sat`` asked inside."""
+    with the projection's own ``sat`` asked inside.  With every variable
+    eliminated the answer is ``_sat``'s, and with none eliminated and no
+    inequality whose coefficients have a gcd above 1 it is the pruned rows;
+    neither calls ``_eliminate`` (module docstring)."""
     rows = _prune(rows)
 
     def compute():
-        out = _eliminate(list(rows), {v for r in rows for v, _ in r.terms}.difference(keep))
-        out = None if out is None else _prune(out)
+        mentioned = {v for r in rows for v, _ in r.terms}
+        elim = mentioned.difference(keep)
+        if elim == mentioned:
+            return () if _sat(rows) else None
+        if elim or any(r.rel != EQ and gcd(*[k for _, k in r.terms]) > 1 for r in rows):
+            out = _eliminate(list(rows), elim)
+            out = None if out is None else _prune(out)
+        else:
+            out = rows  # what ``_prune_masked`` would leave
         return out if out is not None and _sat(out) else None
     return None if rows is None else _memoized(("project", rows, keep), compute)
 
@@ -650,10 +681,17 @@ class Polyhedron:
                          lambda: self._hull(other))
 
     def _hull(self, other: "Polyhedron") -> "Polyhedron":
+        """The closed convex hull, simplified: the outer operand when one
+        without strict rows holds the other, tested ``self`` inside
+        ``other`` first; otherwise the lifted rows, eliminated (module
+        docstring)."""
         if self.is_empty():
             return Polyhedron(self.dims, other.constraints)
         if other.is_empty():
             return self
+        for inner, outer in ((self, other), (other, self)):
+            if all(r.rel != LT for r in outer.constraints) and inner.entails(outer):
+                return _nonempty(self.dims, outer.constraints).simplify()
         y = {d: f"{d}#1" for d in self.dims}
         z = {d: f"{d}#2" for d in self.dims}
         s1, s2 = "#s1", "#s2"

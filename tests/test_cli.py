@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from dimsolve import trees
 from dimsolve.cli import main
 from dimsolve.driver import solve
 from dimsolve.parser import parse
@@ -236,6 +237,20 @@ def test_dump_trees_and_dim_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(["dim", str(f)], capsys)
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_dump_of_zero_trees_builds_none(capsys, monkeypatch):
+    # no tree is asked for, so none is built or tested
+    tested = []
+    tree_constraint = trees.tree_constraint
+
+    def counted(p, t):
+        tested.append(t)
+        return tree_constraint(p, t)
+    monkeypatch.setattr(trees, "tree_constraint", counted)
+    code, out, _ = run_cli(["--dump-trees", "0", "--max-nodes", "25",
+                            os.path.join(BENCH, "fib.pl")], capsys)
+    assert (code, out, tested) == (0, "", [])
 
 
 def test_emit_model(tmp_path, capsys):

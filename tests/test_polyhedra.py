@@ -1012,7 +1012,7 @@ def test_derived_rows_equal_the_rows_make_builds(monkeypatch):
         return eliminate(rows, elim)
     monkeypatch.setattr(polyhedra, "_eliminate", recording)
     rng = random.Random(83)
-    strict = negative_eqs = merged = hulls = 0
+    strict = negative_eqs = merged = hulls = nested = 0
     for _ in range(300):
         a, b = (_with_mates(rng, random_poly(rng, PREFIX_NAMES, rng.randint(1, 4)))
                 for _ in range(2))
@@ -1026,9 +1026,162 @@ def test_derived_rows_equal_the_rows_make_builds(monkeypatch):
             continue  # the hull lifts no rows
         lifted.clear()
         a.hull(b)
-        assert lifted == [_reference_lifted(a, b)], (a, b)
+        if any(_closed(outer) and inner.entails(outer) for inner, outer in ((a, b), (b, a))):
+            assert lifted == [], (a, b)  # nested: the hull is the outer operand
+            nested += 1
+        else:
+            assert lifted == [_reference_lifted(a, b)], (a, b)
         hulls += 1
-    assert min(strict, negative_eqs, merged, hulls) > 100
+    assert min(strict, negative_eqs, merged, hulls) > 100 and nested > 0
+
+
+# --- hulls and projections whose answer needs no elimination -------------
+
+def _counting_eliminate(monkeypatch):
+    """Patch ``_eliminate`` to record the rows of each call; returns the list."""
+    calls = []
+    eliminate = polyhedra._eliminate
+
+    def counting(rows, elim):
+        calls.append(rows)
+        return eliminate(rows, elim)
+    monkeypatch.setattr(polyhedra, "_eliminate", counting)
+    return calls
+
+
+def _closed(p) -> bool:
+    return all(r.rel != LT for r in p.constraints)
+
+
+def _row_through(rng, point, rel, slack=0):
+    """A row over ``A`` and ``B`` that ``point`` satisfies with ``slack`` to spare."""
+    while True:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if a or b:
+            return C({"A": a, "B": b}, -(a * point[0] + b * point[1]) - slack, rel)
+
+
+def _parallel(r, q) -> bool:
+    (a, b), (c, d) = ([dict(x.terms).get(v, 0) for v in "AB"] for x in (r, q))
+    return a * d == b * c
+
+
+def _outer_operand(rng, kind):
+    """A nonempty polyhedron over ``A`` and ``B`` around an integer point:
+    the point, a segment or a ray on a line through it, or a full-dimensional
+    one (each row with room to spare at the point), with or without a strict
+    row."""
+    point = rng.randint(-3, 3), rng.randint(-3, 3)
+    while kind in ("full", "strict"):
+        rows = [_row_through(rng, point, LE, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        if kind == "strict":
+            rows[0] = rows[0]._replace(rel=LT)
+        out = poly(("A", "B"), *rows)
+        if _closed(out) == (kind == "full"):  # a stronger row may prune the strict one
+            return out
+    line = across = _row_through(rng, point, EQ)
+    while _parallel(line, across):
+        across = _row_through(rng, point, EQ)
+    if kind == "point":
+        return poly(("A", "B"), line, across)
+    # ``across`` bounds the line on one side, or on both for a segment
+    rows = [line, across._replace(rel=LE)]
+    if kind == "segment":
+        rows.append(C({v: -k for v, k in across.terms}, -across.const - rng.randint(1, 2)))
+    return poly(("A", "B"), *rows)
+
+
+def _nested_case(rng, kind):
+    """``(inner, outer)``: an outer operand of ``kind``, and the outer one
+    with one or two random rows added, kept when nonempty."""
+    outer = _outer_operand(rng, kind)
+    while True:
+        rows = outer.constraints + tuple(random_constraint(rng, ("A", "B"), (-3, 3))
+                                         for _ in range(rng.randint(1, 2)))
+        if not _reference_empty(list(rows)):
+            return poly(("A", "B"), *rows), outer
+
+
+def _reference_inside(p, q) -> bool:
+    """Whether ``p`` lies inside ``q``, decided by the reference."""
+    return all(_reference_empty(list(p.constraints) + [n])
+               for c in q.constraints for n in c.negations())
+
+
+_LIFTED = {"A#1", "B#1", "A#2", "B#2", "#s1", "#s2"}
+
+
+def test_nested_hull_is_the_closed_outer_operand(monkeypatch):
+    # the closed hull of nested operands is the closure of the outer one;
+    # for a full-dimensional outer operand its simplified rows are the
+    # facets, so they are exactly the rows Fourier-Motzkin gives
+    calls = _counting_eliminate(monkeypatch)
+    rng = random.Random(33)
+    kinds, eliminated = Counter(), Counter()
+    for kind in ("point", "segment", "ray", "full", "strict") * 64:
+        inner, outer = _nested_case(rng, kind)
+        for a, b in ((inner, outer), (outer, inner)):
+            # the first closed operand, in the order ``b`` then ``a``, that
+            # holds the other; with equal sets ``inner`` may come first
+            rule = next((o for i, o in ((a, b), (b, a)) if _closed(o) and _reference_inside(i, o)),
+                        None)
+            calls.clear()
+            h = Polyhedron(a.dims, a.constraints).hull(Polyhedron(b.dims, b.constraints))
+            # simplified operands describe the same sets with fewer rows, so
+            # that the reference, which drops no redundant row, stays small
+            ref = _reference_eliminate(_reference_lifted(a.simplify(), b.simplify()), _LIFTED)
+            assert _same_set(list(h.constraints), ref), (a, b)
+            if rule is None:
+                assert len(calls) == 1, (a, b)  # the lifted rows, eliminated
+            else:
+                assert calls == [] and h.constraints == rule.simplify().constraints, (a, b)
+            if kind == "full":
+                assert h == Polyhedron(h.dims, ref).simplify(), (a, b)
+            kinds[kind, rule is outer] += 1
+            eliminated[kind] += len(calls)
+    # every closed kind is answered by its outer operand, and a strict outer
+    # operand mostly goes through the elimination
+    assert min(kinds[kind, True] for kind in ("point", "segment", "ray", "full")) > 60, kinds
+    assert kinds["strict", True] == 0 and eliminated["strict"] > 100, (kinds, eliminated)
+
+
+def _projection_case(rng):
+    """Pruned rows over ``A`` and ``B`` or ``A`` alone, some with a row
+    parallel to an inequality at twice its coefficients, and a ``keep`` that
+    holds every name of the rows or none of them."""
+    rows = list(_two_variable_system(rng))
+    ineqs = [r for r in rows if r.rel != EQ]
+    if ineqs and rng.random() < 0.4:
+        r = rng.choice(ineqs)
+        rows.append(C({v: 2 * k for v, k in r.terms}, 2 * r.const + rng.choice([-1, 1]), LE))
+    keep = rng.choice([("A", "B"), ("B", "A", "Z"), (), ("Z",)])
+    return polyhedra._prune(rows), keep
+
+
+def test_projection_exits_match_the_elimination(monkeypatch):
+    eliminate = polyhedra._eliminate
+
+    def old_project(rows, keep):
+        out = eliminate(list(rows), {v for r in rows for v, _ in r.terms}.difference(keep))
+        out = None if out is None else polyhedra._prune(out)
+        return out if out is not None and polyhedra._sat(out) else None
+    rng = random.Random(34)
+    hand = [(polyhedra._prune([C({"A": 2, "B": 2}, -3), C({"A": 1, "B": 1}, -1)]), keep)
+            for keep in (("A", "B"), ())]
+    cases = hand + [_projection_case(rng) for _ in range(1500)]
+    expected = [old_project(rows, keep) for rows, keep in cases]
+    calls = _counting_eliminate(monkeypatch)
+    outcomes = Counter()
+    for (rows, keep), want in zip(cases, expected):
+        calls.clear()
+        assert polyhedra._project(rows, keep) == want, (rows, keep)
+        mentioned = {v for r in rows for v, _ in r.terms}
+        parallel = any(r.rel != EQ and math.gcd(*[k for _, k in r.terms]) > 1 for r in rows)
+        assert len(calls) == (parallel and mentioned <= set(keep)), (rows, keep)
+        outcomes["A" in keep, want is None, parallel] += 1
+    # both exits, feasible and not, with and without a coefficient gcd above 1
+    assert len(outcomes) == 8 and min(outcomes.values()) > 10, outcomes
+    assert hand[0][0] != expected[0] == polyhedra._prune([C({"A": 1, "B": 1}, -1)])
 
 
 # --- deadline ------------------------------------------------------------
