@@ -23,15 +23,11 @@ predicate's hull chain; they start from that post-fixpoint and, the
 contributions being monotone, only shrink; they end at the first round
 that shrinks nothing.
 
-A hull chain lists the images of body-free clauses first (``linearize``
-makes many): they never change within a solve, so the chain's prefix over
-them is a hit in the solve's table from the first round on, in ``step`` and
-``_contributions`` alike, and only the hulls after it are computed again.
-That keeps every row of the result because a hull chain's rows do not
-depend on the order of its operands.  ``entails`` asks
-``polyhedra._covered``, which is memoized in the same table: the growth
-tests and the narrowing stop test ask the same pairs again round after
-round.
+A hull chain takes a predicate's images in clause order, and each hull
+is memoized in the solve's table, so a prefix of images that did not change
+since the last round is a hit.  ``entails`` asks ``polyhedra._covered``,
+which is memoized in the same table: the growth tests and the narrowing
+stop test ask the same pairs again round after round.
 
 No stored interpretation is empty, so no round tests one for emptiness:
 ``head_image`` gives None for an unsatisfiable body, and hulls and
@@ -74,17 +70,17 @@ class NoFixpoint(ResourceExhausted):
 
 def _images(p: Program,
             s: dict[PredRef, Polyhedron]) -> dict[PredRef, list[Polyhedron]]:
-    """Each head's nonempty clause images under the current state: those of
-    body-free clauses first, then the rest, each group in clause order."""
-    groups: dict[PredRef, tuple[list[Polyhedron], list[Polyhedron]]] = {}
+    """Each head's nonempty clause images under the current state, in
+    clause order."""
+    images: dict[PredRef, list[Polyhedron]] = {}
     for c in p.clauses:
         interps = [s.get(atom.pred) for atom in c.body]
         if any(i is None for i in interps):
             continue
         poly = head_image(c, zip(c.body, interps))
         if poly is not None:
-            groups.setdefault(c.head.pred, ([], []))[bool(c.body)].append(poly)
-    return {pred: free + rest for pred, (free, rest) in groups.items()}
+            images.setdefault(c.head.pred, []).append(poly)
+    return images
 
 
 def _join(polys: list[Polyhedron]) -> Polyhedron:

@@ -49,34 +49,23 @@ row that the weaker row's mask would have let through, and ``sat`` can
 answer true for an infeasible system.
 
 Every containment question goes to one routine, ``_covered(rows,
-heads)``: do the nonempty pruned rows ``rows`` lie inside the union of the
-heads, each head a tuple of rows?  ``entails`` asks it with ``other``'s rows
-as the one head, ``entails_constraint``, ``_simplify`` and widening's swap
-test with the one row ``c``, and ``models.satisfies_clause`` with a clause
-image and the head facts.  It subtracts regions: a region ``r`` minus a head
-is the union of the pieces ``r`` with one negation of one head row, pruned;
+heads)``: do the pruned rows ``rows`` lie inside the union of the heads,
+each head a tuple of rows?  ``entails`` asks it with ``other``'s rows as the
+one head, ``entails_constraint``, ``_simplify`` and widening's swap test
+with the one row ``c``, and ``models.satisfies_clause`` with a clause image
+and the head facts.  It subtracts regions: a region ``r`` minus a head is
+the union of the pieces ``r`` with one negation of one head row, pruned;
 the pieces may overlap, and covered means that nothing satisfiable is left.
-Two tests settle a head row without an elimination, each only where
-Fourier-Motzkin would give the same answer:
+A head row that ``r`` implies by ``_row_entails`` adds no piece: the row is
+a row of ``r``, or it is an inequality and a non-equality row of ``r`` with
+the same terms has a bound at least as strong, in ``_prune``'s order.  A
+row implies what it dominates, so every such piece would be empty.
 
-- a head row that ``r`` implies by ``_row_entails`` adds no piece: the row
-  is a row of ``r``, or it is an inequality and a non-equality row of ``r``
-  with the same terms has a bound at least as strong, in ``_prune``'s
-  order.  A row implies what it dominates;
-- at the last head, by Farkas' lemma (Schrijver, *Theory of Linear and
-  Integer Programming*, 1986), a nonempty region implies ``c`` only when
-  each variable of ``c`` occurs with its sign in ``c`` in an inequality row
-  or occurs in an equality row (both signs for an equality ``c``).  Where
-  one does not, a point of ``r`` lies outside ``c``, so outside every head,
-  and the answer is False.
-
-In the same way the first satisfiable piece at the last head answers False.
-Both exits are exact because every region is nonempty: later regions are
-pieces that passed ``sat``, and callers pass nonempty rows (``entails`` and
-``entails_constraint`` answer an empty polyhedron first, the row subsets of
-``_simplify`` and of widening's swap test hold ``self``, and a clause image
-is satisfiable).  Each piece's ``sat`` is stored under the same
-``("sat", rows)`` key as ``Polyhedron.sat``.
+The first satisfiable piece at the last head holds a point that no head
+holds, and answers False at once; with no heads the answer is ``not sat``.
+Both are exact on any rows: empty rows leave no satisfiable piece, so they
+are covered by any heads, also by none.  Each piece's ``sat`` is stored under
+the same ``("sat", rows)`` key as ``Polyhedron.sat``.
 
 The hull is the closed convex hull: the lifted encoding (Benoy & King,
 LOPSTR 1996) relaxes strict rows, and ``_eliminate`` removes the lifted
@@ -102,8 +91,8 @@ so then the rows still go through ``_eliminate``.
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
 operands are nonempty by then, and it holds both) and widening's kept rows
-(they hold ``other``).  On these, the emptiness tests that open
-``_simplify``, ``entails`` and ``entails_constraint`` run no elimination.
+(they hold ``other``).  On these, the emptiness test that opens
+``_simplify`` runs no elimination.
 
 Rows derived from rows in normal form are built in normal form, without
 ``Constraint.make``: the hull's lifted rows and its ``x = y + z`` and ``s``
@@ -122,8 +111,7 @@ dimensions first.  The fixpoint's growth tests, its narrowing stop test and
 ``_project`` prunes rows in any order and stores its tested result, None
 exactly for empty rows, under ``("project", rows, keep)``, so ``models``
 projects a clause body with no polyhedron and no second ``sat``.
-A simplified polyhedron is nonempty.  ``simplify`` is idempotent, so its
-result is also stored as its own simplification.  The block also holds the
+A simplified polyhedron is nonempty.  The block also holds the
 solve's deadline, which ``_sat_two`` and ``_eliminate`` check on entry and
 ``_eliminate`` once per elimination step, so the deadline holds inside a
 single hull or clause check.  ``_sat_two`` keeps the row cap too: more than
@@ -551,24 +539,18 @@ def _row_entails(rows, c: Constraint) -> bool:
                for r in rows)
 
 
-def _sign_set(rows) -> set:
-    """``(v, positive)`` for each sign that ``v`` has in some row of
-    ``rows``, both signs for an equality row (module docstring, Farkas)."""
-    return {(v, s) for r in rows for v, k in r.terms
-            for s in ((True, False) if r.rel == EQ else (k > 0,))}
-
-
 def _covered(rows: tuple, heads: tuple) -> bool:
-    """True iff every rational point of the nonempty pruned rows ``rows``
-    satisfies every row of some head, each head a tuple of rows.
+    """True iff every rational point of the pruned rows ``rows`` satisfies
+    every row of some head, each head a tuple of rows.
 
     Region subtraction: peel each head off the rows; covered iff nothing
     satisfiable remains.  Regions are pruned row tuples.  A region ``r``
     minus a head is the union of the pieces ``r`` with one negation of one
     head row; the pieces may overlap.  A head row that ``r`` implies by
-    ``_row_entails`` adds no piece.  Every region is nonempty, so at the
-    last head a failed sign test (Farkas) or a satisfiable piece shows a
-    point that no head holds, and the answer is False at once.  Memoized under
+    ``_row_entails`` adds no piece.  At the last head a satisfiable piece
+    shows a point that no head holds, and the answer is False at once; with
+    no heads it is ``not _sat(rows)``.  Empty rows leave no satisfiable
+    piece, so the answer is exact on any rows.  Memoized under
     ``("covered", rows, heads)``.
     """
     def compute():
@@ -578,16 +560,9 @@ def _covered(rows: tuple, heads: tuple) -> bool:
             last = i == len(heads) - 1
             next_regions = []
             for r in regions:
-                signs = None
                 for c in head:
                     if _row_entails(r, c):
                         continue  # every piece of ``c`` would be empty
-                    if last:
-                        signs = signs or _sign_set(r)
-                        # Farkas: each term of c needs a row with its sign
-                        if not all((v, k > 0) in signs and (c.rel != EQ or (v, k < 0) in signs)
-                                   for v, k in c.terms):
-                            return False
                     for neg in c.negations():
                         piece = _prune(r + (neg,))
                         created += 1
@@ -601,7 +576,7 @@ def _covered(rows: tuple, heads: tuple) -> bool:
             regions = next_regions
             if not regions:
                 return True
-        return not regions
+        return not _sat(rows)  # no heads
     return _memoized(("covered", rows, heads), compute)
 
 
@@ -659,12 +634,12 @@ class Polyhedron:
     def entails_constraint(self, c: Constraint) -> bool:
         if self.constraints != (FALSE_CONSTRAINT,):  # bottom takes any c
             _check_dims(c.terms, self.dims)
-        return self.is_empty() or _covered(self.constraints, ((c,),))
+        return _covered(self.constraints, ((c,),))
 
     def entails(self, other: "Polyhedron") -> bool:
         if not set(other.dims) <= set(self.dims):
             raise DimensionMismatch("entailment target uses unknown dimensions")
-        return self.is_empty() or _covered(self.constraints, (other.constraints,))
+        return _covered(self.constraints, (other.constraints,))
 
     def project(self, keep) -> "Polyhedron":
         keep = tuple(keep)
@@ -737,7 +712,6 @@ class Polyhedron:
             if b in kept or not self.entails_constraint(b):
                 continue
             for a in cs1:
-                # the swapped rows hold ``self``, so they are nonempty
                 if _covered(_prune([x for x in cs1 if x != a] + [b]), ((a,),)):
                     kept.append(b)
                     break
@@ -754,12 +728,9 @@ class Polyhedron:
         kept = _prune(_recombine(self.constraints))
         for c in kept[::-1]:
             rest = tuple([k for k in kept if k != c])
-            # ``rest`` holds ``self``, so it is nonempty
             if _covered(rest, ((c,),)):
                 kept = rest
-        out = _nonempty(self.dims, kept)
-        # simplifying ``out`` again gives ``out``
-        return _memoized(("simplify", out.dims, out.constraints), lambda: out)
+        return _nonempty(self.dims, kept)
 
     def eval_point(self, point: dict) -> bool:
         return all(c.eval_point(point) for c in self.constraints)

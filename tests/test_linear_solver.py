@@ -8,7 +8,7 @@ from dimsolve.linear_solver import solve_linear, step
 from dimsolve.models import (Model, head_image, linearize, satisfies_program,
                              violations)
 from dimsolve.parser import parse
-from dimsolve.polyhedra import Polyhedron, memo
+from dimsolve.polyhedra import Polyhedron
 from dimsolve.syntax import ATMOST, EXACT, Atom, Clause, PredRef, Program, Var
 from dimsolve.terms import EQ, LT
 
@@ -79,32 +79,6 @@ def test_widening_schedule():
     second = step(program, first)
     assert second[p] == poly(("A",), C({"A": -1}, 0))
     assert step(program, second) is second
-
-
-def _hull_key(a, b):
-    return "hull", a.dims, a.constraints, b.dims, b.constraints
-
-
-def test_body_free_images_lead_each_hull_chain():
-    # body-free images never change within a solve, so when they lead the
-    # chain its prefix is a table hit: a round in which only the recursive
-    # image changes computes only the hull after that prefix, and
-    # ``old.hull``
-    program = parse("p(Y) :- Y=X+1, p(X).\np(X) :- X=0.\np(X) :- X=5.\np(X) :- X=9.")
-    p = PredRef("p")
-    free = [c for c in program.clauses if not c.body]
-    with memo() as table:
-        first = step(program, {})
-        images = linear_solver._images(program, first)[p]
-        assert images[:3] == [head_image(c, ()) for c in free] and len(images) == 4
-        prefix = images[0].hull(images[1]).hull(images[2])
-        assert first[p] == prefix
-        before = set(table)
-        second = step(program, first)
-        added = {key for key in table.keys() - before if key[0] == "hull"}
-    assert second is not first
-    assert added == {_hull_key(prefix, images[3]),
-                     _hull_key(prefix, prefix.hull(images[3]))}
 
 
 def test_solve_fib_level0(fib):

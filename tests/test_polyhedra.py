@@ -127,8 +127,8 @@ def test_rename_that_moves_no_dimension_is_the_identity():
 
 
 def test_entails_constraint_equals_elimination():
-    # the sign test answers "not entailed" on a nonempty polyhedron only where
-    # the elimination over the negations does
+    # coverage by the one row ``c`` answers "not entailed" only where the
+    # elimination over the negations does
     rng = random.Random(71)
     dims = ("x", "y", "z")
     polys = [Polyhedron.bottom(dims), poly(dims, C({"x": -1}, 1), C({"x": 1}, 0))]
@@ -496,8 +496,8 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # each construction that starts with ``sat`` true contains a nonempty
     # polyhedron: the hull's lifted result, widening's kept rows and
     # simplify's result; so do the row subsets that simplify and widening's
-    # swap test hand to ``_covered``, whose Farkas exit is exact only on
-    # nonempty rows.  Elimination must find a point in each
+    # swap test hand to ``_covered``, since each holds ``self``.  Elimination
+    # must find a point in each
     marked, subsets = [], []
     nonempty, covered = polyhedra._nonempty, polyhedra._covered
 
@@ -784,15 +784,16 @@ def _reference_covered(rows, heads) -> bool:
     return all(_reference_empty(list(rows) + list(pick)) for pick in itertools.product(*negated))
 
 
-def _coverage_case(rng):
-    """Nonempty pruned rows over ``x`` and ``y`` and zero to three heads,
-    each a random polyhedron, some rows of ``rows`` with their bounds moved,
-    or one side of a line whose other side another head may hold."""
+def _coverage_case(rng, rows=None):
+    """Pruned rows over ``x`` and ``y``, nonempty ones drawn when ``rows``
+    is None, and zero to three heads, each a random polyhedron, some rows
+    of ``rows`` with their bounds moved, or one side of a line whose other
+    side another head may hold."""
     dims = ("x", "y")
-    while True:
+    while rows is None:
         rows = random_poly(rng, dims, rng.randint(1, 4)).constraints
-        if not _reference_empty(list(rows)):
-            break
+        if _reference_empty(list(rows)):
+            rows = None
     heads = []
     for _ in range(rng.randint(0, 3)):
         kind = rng.random()
@@ -809,36 +810,52 @@ def _coverage_case(rng):
     return rows, tuple(heads)
 
 
+# empty pruned rows: bottom, ``{x>=1, x=<0}``, which ``_prune`` keeps, and
+# two-variable systems that only elimination finds infeasible
+_EMPTY_ROWS = [poly(("x", "y"), *rows).constraints for rows in (
+    [FALSE],
+    [C({"x": -1}, 1), C({"x": 1}, 0)],
+    [C({"x": -1, "y": 1}, 1), C({"x": 1, "y": -1}, 0)],
+    [C({"x": 1, "y": 1}, -2, EQ), C({"x": 1}, 0), C({"y": 1}, 0, LT)])]
+
+
 def test_coverage_matches_reference_expansion():
     rng = random.Random(32)
     cases = [_coverage_case(rng) for _ in range(600)]
+    cases += [_coverage_case(rng, rows) for rows in _EMPTY_ROWS for _ in range(40)]
     outcomes = Counter()
     for i, (rows, heads) in enumerate(cases):
         want = _reference_covered(rows, heads)
         with memo() if i % 2 else contextlib.nullcontext():
             assert polyhedra._covered(rows, heads) == want, (rows, heads)
         outcomes[len(heads), want] += 1
-    # every head count occurs, and one to three heads each give both answers
-    assert {n for n, _ in outcomes} == {0, 1, 2, 3}
+    # empty rows are covered by any heads, none included
+    assert all(_reference_covered(rows, heads) for rows, heads in cases[600:])
+    assert {len(heads) for _, heads in cases[600:]} == {0, 1, 2, 3}
+    # every head count gives both answers, more than 20 times from one head on
+    assert outcomes[0, True] and outcomes[0, False], outcomes
     assert min(outcomes[n, w] for n in (1, 2, 3) for w in (True, False)) > 20, outcomes
     head_rows = [r for _, heads in cases for h in heads for r in h]
     assert {r.rel for r in head_rows} == {EQ, LE, LT}
     assert any(r.rel == LT for rows, _ in cases for r in rows)
 
 
-def test_coverage_is_asked_of_nonempty_rows(fib, tree3, monkeypatch):
-    # the Farkas exit and the early exit are exact only on nonempty rows
-    calls = set()
+def test_coverage_asked_by_solves_matches_reference_expansion(fib, tree3, monkeypatch):
+    # each coverage question that two solves ask, answered again outside
+    # their table, as the DNF expansion answers it
+    calls = {}
     covered = polyhedra._covered
 
     def recording(rows, heads):
-        calls.add((rows, heads))
-        return covered(rows, heads)
+        calls[rows, heads] = out = covered(rows, heads)
+        return out
     monkeypatch.setattr(polyhedra, "_covered", recording)
     monkeypatch.setattr(models, "_covered", recording)
     for p, cfg in ((fib, Config()), (tree3, Config(max_k=4))):
         solve(p, cfg)
-    assert all(not _reference_empty(list(rows)) for rows, _ in calls)
+    for (rows, heads), got in calls.items():
+        assert got == covered(rows, heads) == _reference_covered(rows, heads), (rows, heads)
+    assert set(calls.values()) == {True, False} and len(calls) > 400
     head_rows = {sum(map(len, heads)) for _, heads in calls}
     assert 1 in head_rows and max(head_rows) > 1
 
@@ -933,9 +950,9 @@ def test_hull_that_kept_parallel_rows_passes_the_row_cap():
 
 
 def test_hull_chain_rows_do_not_depend_on_the_order():
-    # the fixpoint puts body-free clause images first in each hull chain;
-    # that keeps every row only because each left-to-right order of a chain
-    # of nonempty operands gives the same rows
+    # the fixpoint's hull chains take images in clause order; the rows they
+    # give do not depend on that order, because each left-to-right order of
+    # a chain of nonempty operands gives the same rows
     rng = random.Random(71)
     seen = set()
     for _ in range(400):

@@ -1,13 +1,16 @@
 """The verdict scoreboard: the outcome of ``solve`` at max-k 6 and of
-``solve-linear`` on every scoreboard program and every perfbench program.
+``solve-linear`` on every scoreboard program and every perfbench program,
+with a digest of each rendered model.
 
-A change that moves a verdict shows here first, and must say which entries it
-changes.  ``solve`` may never report ``SOLVED`` on an unsafe program; each
-unsafe program carries a small witness that ``perfbench/check.py``'s ground
-derivation finds.  Only the unsafe programs are checked that way: the box
-search of a safe program such as ``bintree_size`` takes seconds.
+A change that moves a verdict or a model shows here first, and must say which
+entries it changes.  ``solve`` may never report ``SOLVED`` on an unsafe
+program; each unsafe program carries a small witness that
+``perfbench/check.py``'s ground derivation finds.  Only the unsafe programs
+are checked that way: the box search of a safe program such as
+``bintree_size`` takes seconds.
 """
 
+import hashlib
 import os
 import sys
 
@@ -24,23 +27,25 @@ import check  # noqa: E402
 SCOREBOARD = os.path.join(ROOT, "benchmarks", "scoreboard")
 PERFBENCH = os.path.join(ROOT, "perfbench", "programs")
 
-# program: (directory, solve status, reason, k reached, solve-linear solved)
+# program: (directory, solve status, reason, k reached, model digests): the
+# digests are those of the rendered ``solve`` and ``solve-linear`` models,
+# None where the command solves nothing
 EXPECTED = {
-    "fib": (PERFBENCH, "solved", "", 1, True),
-    "merge_sum": (PERFBENCH, "solved", "", 1, True),
-    "doubling_sum": (PERFBENCH, "solved", "", 1, True),
-    "bintree_size": (SCOREBOARD, "solved", "", 1, True),
-    "tree_count": (PERFBENCH, "solved", "", 2, True),
-    "tree3_count": (PERFBENCH, "unknown", "max-k", 6, True),
-    "tree4": (SCOREBOARD, "unknown", "max-k", 6, True),
-    "hanoi": (SCOREBOARD, "unknown", "not-solved", 2, True),
-    "ack_like": (SCOREBOARD, "unknown", "not-solved", 1, True),
-    "mc91": (SCOREBOARD, "unknown", "not-solved", 2, False),
-    "fib_lb": (SCOREBOARD, "unknown", "not-solved", 2, False),
-    "mutual": (SCOREBOARD, "unknown", "not-solved", 2, False),
-    "fib_eq": (PERFBENCH, "unknown", "not-solved", 5, False),
-    "fib_eq_unsafe": (SCOREBOARD, "unknown", "not-solved", 1, False),
-    "hanoi_unsafe": (SCOREBOARD, "unknown", "not-solved", 1, False),
+    "fib": (PERFBENCH, "solved", "", 1, "3a30dd52c8eff2a8", "99695797924ba952"),
+    "merge_sum": (PERFBENCH, "solved", "", 1, "22995995360ca036", "0260247f270a5778"),
+    "doubling_sum": (PERFBENCH, "solved", "", 1, "8df8626de2f2305b", "7f6185d83efe0428"),
+    "bintree_size": (SCOREBOARD, "solved", "", 1, "7d148cd64dd7f1d0", "ead77cdd3a6a08aa"),
+    "tree_count": (PERFBENCH, "solved", "", 2, "1c906157815087c1", "77ccd19f8eb8abb7"),
+    "tree3_count": (PERFBENCH, "unknown", "max-k", 6, None, "b554b80937844d01"),
+    "tree4": (SCOREBOARD, "unknown", "max-k", 6, None, "46fd36327731f69d"),
+    "hanoi": (SCOREBOARD, "unknown", "not-solved", 2, None, "4ea44f80290ad3cd"),
+    "ack_like": (SCOREBOARD, "unknown", "not-solved", 1, None, "db6e811f8d8cff25"),
+    "mc91": (SCOREBOARD, "unknown", "not-solved", 2, None, None),
+    "fib_lb": (SCOREBOARD, "unknown", "not-solved", 2, None, None),
+    "mutual": (SCOREBOARD, "unknown", "not-solved", 2, None, None),
+    "fib_eq": (PERFBENCH, "unknown", "not-solved", 5, None, None),
+    "fib_eq_unsafe": (SCOREBOARD, "unknown", "not-solved", 1, None, None),
+    "hanoi_unsafe": (SCOREBOARD, "unknown", "not-solved", 1, None, None),
 }
 
 
@@ -55,12 +60,19 @@ def test_scoreboard_lists_every_program():
     assert on_disk == set(EXPECTED)
 
 
+def _digest(model) -> str | None:
+    """The first 16 hex digits of the rendered model's sha256; None for no
+    model."""
+    return None if model is None else hashlib.sha256(model.render().encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("name", EXPECTED)
 def test_scoreboard_outcome(name):
-    _, status, reason, k, linear_solved = EXPECTED[name]
+    _, status, reason, k, model, linear_model = EXPECTED[name]
     out = solve(parse(_text(name)), Config(max_k=6))
     assert (out.status, out.reason, out.k_reached) == (status, reason, k)
-    assert solve_linear(parse(_text(name))).solved == linear_solved
+    assert _digest(out.model) == model
+    assert _digest(solve_linear(parse(_text(name))).model) == linear_model
 
 
 @pytest.mark.parametrize("name", [n for n in EXPECTED if n.endswith("_unsafe")])
