@@ -111,11 +111,7 @@ def main(argv=None) -> int:
     elif argv[0] not in _SUBCOMMANDS and argv[0] not in ("-h", "--help"):
         argv = ["solve", *argv]
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        return _run(args)
+        return _run(_build_parser().parse_args(argv))
     except SystemExit as e:
         return int(e.code or 0)
 

@@ -22,11 +22,11 @@ renamed onto the atom's arguments, projected on rows
 (``polyhedra._project``).  ``linearize`` emits those rows, and
 ``head_image`` builds one polyhedron, the image it keeps.  Inside a
 ``polyhedra.memo()`` block, ``head_image`` stores each image, None
-included, in the table that also reuses each distinct ``sat``, ``project``,
-``hull``, ``simplify`` and ``_covered`` call.  An image is a pure function
-of what ``Clause.__eq__`` compares and of the chosen ``(atom, polyhedron)``
-pairs, so the fixpoint rounds, the soundness gate and ``violations`` of
-one solve compute each distinct image once.
+included, in the table that also reuses each distinct ``sat``, ``hull``,
+``simplify`` and ``_covered`` call; ``_project`` stores nothing itself.
+An image is a pure function of what ``Clause.__eq__`` compares and of the
+chosen ``(atom, polyhedron)`` pairs, so the fixpoint rounds, the soundness
+gate and ``violations`` of one solve compute each distinct image once.
 """
 
 from __future__ import annotations

@@ -83,10 +83,9 @@ same set, such as ``{A=1, 4*A-B=0}`` for ``{A=1, B=4}``.
 eliminate.  With every variable of the rows eliminated, elimination gives
 no rows for a satisfiable system and None for an empty one, so the answer
 is ``()`` or None by ``_sat``.  With nothing eliminated, the pruned rows
-are what ``_prune_masked`` would leave, unless an inequality's
-coefficients have a gcd above 1: such a row may be parallel to another, as
-``2*A+2*B=<3`` is to ``A+B=<1``, and only ``_prune_masked`` merges those,
-so then the rows still go through ``_eliminate``.
+are the projection.  They may keep a row parallel to another, as
+``2*A+2*B=<3`` is to ``A+B=<1``, which ``_prune_masked`` would merge; both
+rows describe the same set as the stronger one alone.
 
 A polyhedron that contains a nonempty one is nonempty, so two
 constructions start with ``sat`` known true: the hull's lifted result (both
@@ -101,22 +100,21 @@ every number keeps the gcd, and ``#`` sorts before every character of a
 name, so ``#s1`` leads and ``v#1`` sorts among the lifted names as ``v``
 does.
 
-``sat``, ``project``, ``hull``, ``simplify`` and ``_covered`` are pure
+``sat``, ``hull``, ``simplify`` and ``_covered`` are pure
 functions of the dimensions and constraints of their operands (a
 ``Polyhedron`` is immutable), so inside a ``memo()`` block each distinct
 call is computed once and its result reused.  ``_covered`` keys on rows
 alone, under ``("covered", rows, heads)``; ``entails`` checks the
 dimensions first.  The fixpoint's growth tests, its narrowing stop test and
 ``models``' maximal facts ask many pairs again.
-``_project`` prunes rows in any order and stores its tested result, None
-exactly for empty rows, under ``("project", rows, keep)``, so ``models``
-projects a clause body with no polyhedron and no second ``sat``.
 A simplified polyhedron is nonempty.  The block also holds the
 solve's deadline, which ``_sat_two`` and ``_eliminate`` check on entry and
 ``_eliminate`` once per elimination step, so the deadline holds inside a
 single hull or clause check.  ``_sat_two`` keeps the row cap too: more than
 ``_ROW_CAP`` pairs raise ``RowCapExceeded``.
-``models.head_image`` stores its clause images in the same table.  Table
+``models.head_image`` stores its clause images in the same table, so a
+clause body is projected once for each image it gives; ``_project`` stores
+nothing itself, and its emptiness test reads the ``sat`` entries.  Table
 and deadline live in context variables: nested blocks share them, and the
 outermost block drops both on exit.  Outside a block nothing is stored and
 no clock is read.
@@ -316,8 +314,7 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
     follow the sorted names, so the smallest column is the smallest name,
     and the equality choice and the tie-break pick the same variable by
     column as by name.  A name that no row mentions changes no row and
-    never counted as a step, so dropping it up front changes nothing; the
-    last variable left is eliminated without counting its pairings.
+    never counted as a step, so dropping it up front changes nothing.
     """
     _check_deadline()
     names = sorted({v for r in rows for v, _ in r.terms})
@@ -370,21 +367,19 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         remaining.remove(j)
     while remaining:
         _check_deadline()
-        j = remaining[0]
-        if len(remaining) > 1:
-            # Fourier-Motzkin on the variable with the fewest pos*neg
-            # pairings, ties going to the smallest column
-            least = None
-            for k in remaining:
-                npos = nneg = 0
-                for r in rows:
-                    c = r[0][k]
-                    if c > 0:
-                        npos += 1
-                    elif c < 0:
-                        nneg += 1
-                if least is None or npos * nneg < least:
-                    least, j = npos * nneg, k
+        # Fourier-Motzkin on the variable with the fewest pos*neg pairings,
+        # ties going to the smallest column
+        least = None
+        for k in remaining:
+            npos = nneg = 0
+            for r in rows:
+                c = r[0][k]
+                if c > 0:
+                    npos += 1
+                elif c < 0:
+                    nneg += 1
+            if least is None or npos * nneg < least:
+                least, j = npos * nneg, k
         remaining.remove(j)
         pos, neg, rest = [], [], []
         for r in rows:
@@ -398,9 +393,6 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
         if not (pos or neg):
             continue
         steps += 1
-        if not (pos and neg):
-            rows = rest  # a subsequence of pruned rows is pruned
-            continue
         bound = steps + 1
         for p in pos:
             a, strict, mask = p[0][j], p[2] == LT, p[3]
@@ -505,27 +497,21 @@ def _sat(rows: tuple) -> bool:
 
 def _project(rows, keep: tuple) -> tuple | None:
     """``rows``, in any order, with every variable outside ``keep``
-    eliminated, pruned; None exactly when ``rows`` are unsatisfiable.
-    Memoized under ``("project", rows, keep)`` with ``rows`` pruned, so in
-    ``_prune``'s order (``_eliminate`` picks equalities in row order), and
-    with the projection's own ``sat`` asked inside.  With every variable
-    eliminated the answer is ``_sat``'s, and with none eliminated and no
-    inequality whose coefficients have a gcd above 1 it is the pruned rows;
-    neither calls ``_eliminate`` (module docstring)."""
+    eliminated, pruned; None exactly when ``rows`` are unsatisfiable.  With
+    every variable eliminated the answer is ``_sat``'s, and with none
+    eliminated it is the pruned rows; neither calls ``_eliminate`` (module
+    docstring)."""
     rows = _prune(rows)
-
-    def compute():
-        mentioned = {v for r in rows for v, _ in r.terms}
-        elim = mentioned.difference(keep)
-        if elim == mentioned:
-            return () if _sat(rows) else None
-        if elim or any(r.rel != EQ and gcd(*[k for _, k in r.terms]) > 1 for r in rows):
-            out = _eliminate(list(rows), elim)
-            out = None if out is None else _prune(out)
-        else:
-            out = rows  # what ``_prune_masked`` would leave
-        return out if out is not None and _sat(out) else None
-    return None if rows is None else _memoized(("project", rows, keep), compute)
+    if rows is None:
+        return None
+    mentioned = {v for r in rows for v, _ in r.terms}
+    elim = mentioned.difference(keep)
+    if elim == mentioned:
+        return () if _sat(rows) else None
+    if elim:
+        rows = _eliminate(list(rows), elim)
+        rows = None if rows is None else _prune(rows)
+    return rows if rows is not None and _sat(rows) else None
 
 
 def _row_entails(rows, c: Constraint) -> bool:

@@ -143,9 +143,9 @@ _LETTERS = [chr(c) for c in range(ord("A"), ord("Z") + 1)]
 
 
 def canonical_params(n: int) -> tuple[Var, ...]:
-    """Canonical parameter tuple A, B, C, ... used for facts and fresh heads."""
-    names = _LETTERS[:n] if n <= len(_LETTERS) else _LETTERS + [f"V{i}" for i in range(1, n - len(_LETTERS) + 1)]
-    return tuple(Var(x) for x in names[:n])
+    """Canonical parameter tuple used for facts and fresh heads: the first
+    ``n`` names of ``fresh_names``, A, ..., Z, V1, V2, ..."""
+    return tuple(Var(x) for x in itertools.islice(fresh_names(set()), n))
 
 
 def fresh_names(used: set[str]):

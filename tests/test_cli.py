@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -321,6 +322,32 @@ def test_python_dash_m():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("SOLVED")
+
+
+def _readme_examples():
+    """``(command, listing)`` for each ``$ dimsolve ...`` line in the fenced
+    blocks of README.md, the listing being the lines after it up to the next
+    ``$`` line or the end of the block."""
+    examples = []
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    for block in blocks:
+        for chunk in ("\n" + block).split("\n$ ")[1:]:
+            command, _, listing = chunk.partition("\n")
+            if command.startswith("dimsolve "):
+                examples.append((command, listing))
+    return examples
+
+
+def test_readme_listings(capsys, monkeypatch):
+    # run from the repository root, as the listings' relative paths assume
+    monkeypatch.chdir(ROOT)
+    examples = _readme_examples()
+    assert examples
+    for command, listing in examples:
+        code, out, _ = run_cli(shlex.split(command)[1:], capsys)
+        assert code in (0, 2), command
+        assert out == listing, command
 
 
 def test_output_stable_across_processes():

@@ -188,6 +188,18 @@ def test_fact_arguments_are_positional():
     assert added == m
 
 
+def test_wide_fact_parameters_continue_past_z():
+    # 28 arguments: A to Z, then V1 and V2, the names ``fresh_names`` gives
+    dims = tuple(f"X{i}" for i in range(28))
+    m = Model()
+    m.add(PredRef("w"), poly(dims, C({"X0": 1, "X27": -1}, 0)))
+    text = m.render()
+    params = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + ["V1", "V2"]
+    assert text == f"w({', '.join(params)}) :- [A-V2=<0].\n"
+    assert canonical_params(28)[-3:] == (Var("Z"), Var("V1"), Var("V2"))
+    assert Model.parse(text) == m
+
+
 def test_model_dedup_and_empty_drop():
     m = Model()
     m.add(PredRef("p"), SEG0)

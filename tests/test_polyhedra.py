@@ -1178,7 +1178,7 @@ def _projection_case(rng):
 def test_projection_exits_match_the_elimination(monkeypatch):
     eliminate = polyhedra._eliminate
 
-    def old_project(rows, keep):
+    def eliminated(rows, keep):
         out = eliminate(list(rows), {v for r in rows for v, _ in r.terms}.difference(keep))
         out = None if out is None else polyhedra._prune(out)
         return out if out is not None and polyhedra._sat(out) else None
@@ -1186,19 +1186,25 @@ def test_projection_exits_match_the_elimination(monkeypatch):
     hand = [(polyhedra._prune([C({"A": 2, "B": 2}, -3), C({"A": 1, "B": 1}, -1)]), keep)
             for keep in (("A", "B"), ())]
     cases = hand + [_projection_case(rng) for _ in range(1500)]
-    expected = [old_project(rows, keep) for rows, keep in cases]
+    expected = [eliminated(rows, keep) for rows, keep in cases]
     calls = _counting_eliminate(monkeypatch)
     outcomes = Counter()
     for (rows, keep), want in zip(cases, expected):
         calls.clear()
-        assert polyhedra._project(rows, keep) == want, (rows, keep)
-        mentioned = {v for r in rows for v, _ in r.terms}
+        got = polyhedra._project(rows, keep)
+        assert calls == [], (rows, keep)  # nothing or everything is eliminated
+        if "A" in keep and want is not None:
+            # the pruned rows, parallel ones included, are the projection
+            assert got == rows and _same_set(list(got), list(want)), (rows, keep)
+        else:
+            assert got == want, (rows, keep)
         parallel = any(r.rel != EQ and math.gcd(*[k for _, k in r.terms]) > 1 for r in rows)
-        assert len(calls) == (parallel and mentioned <= set(keep)), (rows, keep)
         outcomes["A" in keep, want is None, parallel] += 1
     # both exits, feasible and not, with and without a coefficient gcd above 1
     assert len(outcomes) == 8 and min(outcomes.values()) > 10, outcomes
-    assert hand[0][0] != expected[0] == polyhedra._prune([C({"A": 1, "B": 1}, -1)])
+    # the hand case keeps both parallel rows, which elimination merges
+    assert polyhedra._project(*hand[0]) == hand[0][0] and len(hand[0][0]) == 2
+    assert expected[0] == polyhedra._prune([C({"A": 1, "B": 1}, -1)])
 
 
 # --- deadline ------------------------------------------------------------
