@@ -17,36 +17,40 @@ its input rows once, with ``terms`` as a tuple of one integer coefficient
 per name, over the sorted names of the input rows.  It combines
 them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
-dominated ``Constraint`` rows for polyhedra and regions; ``_eliminate`` prunes its
-packed rows with ``_prune_masked``, on input and after each step.  The
-elimination order is fixed by the names: equalities first, substituting away
-the smallest-named variable that an equality mentions, through the first
-such equality in row order; then Fourier-Motzkin on the variable with the
-fewest pos*neg pairings, ties going to the smallest name.
+dominated ``Constraint`` rows for polyhedra and regions.
+
+``_eliminate`` is one loop.  Every pass checks the deadline, prunes the
+packed rows with ``_prune_masked``, returns None on a contradiction and
+stops when no variable is left to eliminate; otherwise it takes one step,
+which eliminates one variable in an order fixed by the names.  While an
+equality mentions a variable left, the step substitutes away the
+smallest-named such variable, through the first such equality in row
+order; after that it is Fourier-Motzkin on the variable with the fewest
+pos*neg pairings, ties going to the smallest name.  A step counts when it
+substitutes an equality or when some row mentions its variable; a
+Fourier-Motzkin step on a variable that no row mentions changes no row.
 
 Fourier-Motzkin output is filtered by Chernikov's rule (Imbert, "Fourier's
 elimination: which to choose?", 1993).  Inside ``_eliminate`` each packed
 row carries a fourth field, its mask: an ``int`` with one bit for each input
-row it combines, the input rows numbered by their position.  The steps
-counted are each equality substitution and each Fourier-Motzkin step on a
-variable that some row mentions.  A substitution ORs the equality's mask
-into every row it rewrites, and a combination takes the union of the two
-masks.  After ``steps`` steps a row that combines more than ``steps + 1``
-input rows is implied by the rows that combine fewer, so such a pair is
-never generated.  Counting too many steps only raises the bound, so some
-redundant rows stay; counting too few lowers it below what the rule allows,
-drops rows the result needs, and the elimination is no longer exact.  On
-input and between steps, ``_prune_masked`` keeps one inequality per
-direction (its coefficients divided by their gcd, so parallel rows such as
-``3*A>=2`` and ``2*A>=1`` merge) and one row per equal equality, the
-strongest, with the AND of the masks of every row merged into it.  That is
-exact: the kept row implies each merged row, and its mask is a subset of
-each of their masks, so the bound lets through every combination that any
-of them would have made, and each such combination implies (a positive
-multiple of) the one the dropped row would have made.  Keeping the stronger
-row with its own mask is unsound: the rule then drops combinations of that
-row that the weaker row's mask would have let through, and ``sat`` can
-answer true for an infeasible system.
+row it combines, the input rows numbered by their position.  A substitution
+ORs the equality's mask into every row it rewrites, and a combination takes
+the union of the two masks.  After ``steps`` counted steps a row that
+combines more than ``steps + 1`` input rows is implied by the rows that
+combine fewer, so such a pair is never generated.  Counting too many steps
+only raises the bound, so some redundant rows stay; counting too few lowers
+it below what the rule allows, drops rows the result needs, and the
+elimination is no longer exact.  Each pass's ``_prune_masked`` keeps one
+inequality per direction (its coefficients divided by their gcd, so
+parallel rows such as ``3*A>=2`` and ``2*A>=1`` merge) and one row per equal
+equality, the strongest, with the AND of the masks of every row merged into
+it.  That is exact: the kept row implies each merged row, and its mask is a
+subset of each of their masks, so the bound lets through every combination
+that any of them would have made, and each such combination implies (a
+positive multiple of) the one the dropped row would have made.  Keeping the
+stronger row with its own mask is unsound: the rule then drops combinations
+of that row that the weaker row's mask would have let through, and ``sat``
+can answer true for an infeasible system.
 
 Every containment question goes to one routine, ``_covered(rows,
 heads)``: do the pruned rows ``rows`` lie inside the union of the heads,
@@ -108,9 +112,9 @@ alone, under ``("covered", rows, heads)``; ``entails`` checks the
 dimensions first.  The fixpoint's growth tests, its narrowing stop test and
 ``models``' maximal facts ask many pairs again.
 A simplified polyhedron is nonempty.  The block also holds the
-solve's deadline, which ``_sat_two`` and ``_eliminate`` check on entry and
-``_eliminate`` once per elimination step, so the deadline holds inside a
-single hull or clause check.  ``_sat_two`` keeps the row cap too: more than
+solve's deadline, which ``_sat_two`` checks on entry and ``_eliminate`` on
+every pass of its loop, so the deadline holds inside a single hull or
+clause check.  ``_sat_two`` keeps the row cap too: more than
 ``_ROW_CAP`` pairs raise ``RowCapExceeded``.
 ``models.head_image`` stores its clause images in the same table, so a
 clause body is projected once for each image it gives; ``_project`` stores
@@ -289,123 +293,111 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
 
     The rows are packed once as ``(coefficients, const, rel, mask)``, with
     one integer coefficient per name in the sorted names of the input rows,
-    and bit ``i`` of the mask set in the ``i``-th input row; ``_prune_masked``
-    prunes them first, so that input duplicates merge as later rows do.
-    They are combined with integer arithmetic, and only the result is
-    unpacked into ``Constraint``s.
-    Each step eliminates one variable: while an equality mentions a
-    variable of ``elim``, the smallest such name is substituted away through
-    its first equality in row order, and the equality's mask joins the mask
-    of every row it rewrites; then Fourier-Motzkin eliminates the variable
-    with the fewest pos*neg pairings, ties going to the smallest name.  A
-    step counts when it substitutes an equality or when some row mentions
-    its variable.  After ``steps`` steps, Chernikov's rule skips every pair
-    whose masks together have more than ``steps + 1`` bits.  An over-count
-    of the steps only raises that bound and keeps redundant rows; an
-    under-count lowers it and drops rows the result needs.  Between steps,
-    ``_prune_masked`` merges the inequalities of one direction (parallel
-    rows) into the strongest, with the AND of their masks: it implies each
-    of them, and its mask lets through every combination that theirs would
-    have.  Every path leaves at most one inequality per direction.  The
-    deadline is checked on entry and once per step.
+    and bit ``i`` of the mask set in the ``i``-th input row.  They are
+    combined with integer arithmetic, and only the result is unpacked into
+    ``Constraint``s.
+
+    One loop does the work (see the module docstring).  Every pass checks
+    the deadline, prunes the rows with ``_prune_masked`` (so input
+    duplicates merge as later rows do), returns None on a contradiction and
+    stops when no variable of ``elim`` is left; otherwise it takes one step,
+    which eliminates one variable.  While an equality mentions a variable
+    left, the step substitutes the smallest such name away through its
+    first equality in row order, and the equality's mask joins the mask of
+    every row it rewrites; after that the step is Fourier-Motzkin on the
+    variable with the fewest pos*neg pairings, ties going to the smallest
+    name.  A step counts when it substitutes an equality or when some row
+    mentions its variable, and after ``steps`` counted steps Chernikov's
+    rule skips every pair whose masks together have more than ``steps + 1``
+    bits.  The result is the last pass's pruned rows, so it holds at most
+    one inequality per direction.
 
     The variables still to eliminate are kept as the ascending column
     indices of the ``elim`` names that some input row mentions.  Columns
     follow the sorted names, so the smallest column is the smallest name,
     and the equality choice and the tie-break pick the same variable by
     column as by name.  A name that no row mentions changes no row and
-    never counted as a step, so dropping it up front changes nothing.
+    would never count as a step, so dropping it up front changes nothing.
     """
-    _check_deadline()
     names = sorted({v for r in rows for v, _ in r.terms})
     col = {v: j for j, v in enumerate(names)}
     packed = []
-    width = len(names)
     for i, r in enumerate(rows):
-        cs = [0] * width
+        cs = [0] * len(names)
         for v, k in r.terms:
             cs[col[v]] = k
         packed.append((tuple(cs), r.const, r.rel, 1 << i))
-    rows = _prune_masked(packed)
-    if rows is None:
-        return None
+    rows = packed
     steps = 0
     # ascending columns, in name order (see the docstring)
     remaining = [j for j, v in enumerate(names) if v in elim]
     # Fourier-Motzkin only makes inequalities, so once no equality mentions
     # a remaining variable, none does again
-    while remaining:
-        eq = None
-        eqs = [r for r in rows if r[2] == EQ]
-        for j in remaining if eqs else ():
-            for r in eqs:
-                if r[0][j]:
-                    eq = r
-                    break
-            else:
-                continue
-            break
-        if eq is None:
-            break
+    eqs_left = True
+    while True:
         _check_deadline()
-        steps += 1
-        a = eq[0][j]
-        new_rows = []
-        for r in rows:
-            if r is eq:
-                continue
-            b = r[0][j]
-            if b == 0:
-                new_rows.append(r)
-            else:
-                # cross-multiply; the weight on r stays positive so an
-                # inequality keeps its direction
-                new_rows.append(_combine(abs(a), r, -b if a > 0 else b, eq, r[2]))
-        rows = _prune_masked(new_rows)
+        rows = _prune_masked(rows)
         if rows is None:
             return None
-        remaining.remove(j)
-    while remaining:
-        _check_deadline()
-        # Fourier-Motzkin on the variable with the fewest pos*neg pairings,
-        # ties going to the smallest column
-        least = None
-        for k in remaining:
-            npos = nneg = 0
-            for r in rows:
-                c = r[0][k]
-                if c > 0:
-                    npos += 1
-                elif c < 0:
-                    nneg += 1
-            if least is None or npos * nneg < least:
-                least, j = npos * nneg, k
+        if not remaining:
+            break
+        eq = None
+        if eqs_left:
+            eqs = [r for r in rows if r[2] == EQ]
+            for j in remaining if eqs else ():
+                for r in eqs:
+                    if r[0][j]:
+                        eq = r
+                        break
+                if eq is not None:
+                    break
+            eqs_left = eq is not None
+        if eq is None:
+            # the fewest pos*neg pairings, ties going to the smallest column
+            least = None
+            for k in remaining:
+                npos = nneg = 0
+                for r in rows:
+                    c = r[0][k]
+                    if c > 0:
+                        npos += 1
+                    elif c < 0:
+                        nneg += 1
+                if least is None or npos * nneg < least:
+                    least, j = npos * nneg, k
         remaining.remove(j)
         pos, neg, rest = [], [], []
-        for r in rows:
-            c = r[0][j]
-            if c > 0:
-                pos.append(r)
-            elif c < 0:
-                neg.append(r)
-            else:
-                rest.append(r)
-        if not (pos or neg):
-            continue
-        steps += 1
-        bound = steps + 1
+        if eq is not None:
+            a = eq[0][j]
+            for r in rows:
+                b = r[0][j]
+                if not b:
+                    rest.append(r)
+                elif r is not eq:
+                    # cross-multiply; the weight on r stays positive so an
+                    # inequality keeps its direction
+                    rest.append(_combine(abs(a), r, -b if a > 0 else b, eq, r[2]))
+        else:
+            for r in rows:
+                c = r[0][j]
+                if c > 0:
+                    pos.append(r)
+                elif c < 0:
+                    neg.append(r)
+                else:
+                    rest.append(r)
+        if eq is not None or pos or neg:
+            steps += 1
         for p in pos:
             a, strict, mask = p[0][j], p[2] == LT, p[3]
             for n in neg:
-                if (mask | n[3]).bit_count() > bound:
+                if (mask | n[3]).bit_count() > steps + 1:
                     continue  # Chernikov: a redundant combination
                 rel = LT if strict or n[2] == LT else LE
                 rest.append(_combine(-n[0][j], p, a, n, rel))
                 if len(rest) > _ROW_CAP:
                     raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
-        rows = _prune_masked(rest)
-        if rows is None:
-            return None
+        rows = rest
     return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
             for cs, const, rel, _ in rows]
 
@@ -734,24 +726,17 @@ class Polyhedron:
 
 
 def _recombine(constraints) -> list[Constraint]:
-    """Merge opposite non-strict inequality pairs back into equalities."""
-    rows = list(constraints)
-    ineqs = {(c.terms, c.const): c for c in rows if c.rel == LE}
-    out, used = [], set()
-    for c in rows:
-        if c in used:
-            continue
-        if c.rel == LE:
-            # negating keeps the gcd and the order of the names
-            mate = ineqs.get((tuple([(v, -k) for v, k in c.terms]), -c.const))
-            if mate is not None and mate is not c:
-                # the equality is the row of the pair with a positive lead
-                lead = c if c.terms[0][1] > 0 else mate
-                out.append(Constraint(lead.terms, lead.const, EQ))
-                used.add(mate)
-                used.add(c)
-                continue
-        out.append(c)
+    """Merge opposite non-strict inequality pairs back into equalities: of
+    each pair only the row with a positive lead is kept, as the equality.
+    ``_simplify``, the caller, prunes the result, which fixes its order."""
+    les = {(c.terms, c.const) for c in constraints if c.rel == LE}
+    out = []
+    for c in constraints:
+        # negating keeps the gcd and the order of the names
+        if c.rel != LE or (tuple([(v, -k) for v, k in c.terms]), -c.const) not in les:
+            out.append(c)
+        elif c.terms[0][1] > 0:
+            out.append(Constraint(c.terms, c.const, EQ))
     return out
 
 

@@ -172,13 +172,14 @@ def render_tree(t: Node, depth: int = 0) -> str:
 
 
 def parse_tree(text: str) -> Node:
-    """Parse the indented dump format back into a labeled tree."""
+    """Parse the indented dump format back into a labeled tree.  Each level
+    is indented by two spaces; any other leading whitespace is an error."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        indent = len(raw) - len(raw.lstrip(" "))
-        if indent % 2:
+        indent = len(raw) - len(raw.lstrip())
+        if indent % 2 or raw[:indent] != " " * indent:
             raise ValueError(f"line {lineno}: indentation must use two spaces per level")
         entries.append((indent // 2, raw.strip()))
     if not entries:

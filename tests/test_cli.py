@@ -121,6 +121,17 @@ def test_deep_dim_dump_exit_one(tmp_path, capsys):
     assert err == f"dimsolve: {f}: tree too deep\n"
 
 
+@pytest.mark.parametrize("indent", ["\t", "  \t"], ids=["tab", "spaces-tab"])
+def test_tab_indented_dim_dump_exit_one(tmp_path, capsys, indent):
+    # a tab is not two spaces: the child is rejected, not read as a second
+    # root or as a child one level down
+    f = tmp_path / "tab-tree.txt"
+    f.write_text(f"c2\n{indent}c1\n")
+    code, out, err = run_cli(["dim", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"dimsolve: {f}: line 2: indentation must use two spaces per level\n"
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(["--max-k", "notanumber", "x.pl"], capsys)
     assert code == 1

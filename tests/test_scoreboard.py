@@ -13,7 +13,9 @@ are checked that way: the box search of a safe program such as
 import hashlib
 import json
 import os
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,6 +26,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import check  # noqa: E402
+from conftest import random_program  # noqa: E402
 
 SCOREBOARD = os.path.join(ROOT, "benchmarks", "scoreboard")
 PERFBENCH = os.path.join(ROOT, "perfbench", "programs")
@@ -86,11 +89,20 @@ def _digest(model) -> str | None:
 _LEVEL_FIELDS = ("k", "clauses", "solved", "reason", "rounds", "narrowing", "violated")
 
 
+def _levels(stats) -> list:
+    """Each level's record, its times left out."""
+    return [{f: entry[f] for f in _LEVEL_FIELDS} for entry in stats]
+
+
+def _json_digest(value) -> str:
+    """The first 16 hex digits of the sha256 of ``value`` as JSON."""
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
 def _levels_digest(stats) -> str:
-    """The first 16 hex digits of the sha256 of the JSON list of each
-    level's record, its times left out."""
-    levels = [{f: entry[f] for f in _LEVEL_FIELDS} for entry in stats]
-    return hashlib.sha256(json.dumps(levels).encode()).hexdigest()[:16]
+    """The digest of the JSON list of each level's record, its times left
+    out."""
+    return _json_digest(_levels(stats))
 
 
 @pytest.mark.parametrize("name", EXPECTED)
@@ -109,3 +121,24 @@ def test_unsafe_programs_have_a_witness_and_are_never_solved(name):
     assert witness is not None and witness.startswith("false clause ")
     assert " fires at " in witness
     assert not solve(parse(_text(name)), Config(max_k=6)).solved
+
+
+# ``solve`` at max-k 3 on the 150 ``conftest.random_program``s drawn from
+# ``random.Random(7)``: the count of each (status, reason, k reached), and the
+# digest of the list of every outcome's status, reason, k reached, rendered
+# model and level records (times left out)
+RANDOM_OUTCOMES = {("solved", "", 0): 108, ("solved", "", 1): 26,
+                   ("unknown", "not-solved", 0): 14, ("unknown", "not-solved", 1): 2}
+RANDOM_DIGEST = "4c9b4c08822293da"
+
+
+def test_random_program_outcomes():
+    rng = random.Random(7)
+    records = []
+    for _ in range(150):
+        out = solve(random_program(rng), Config(max_k=3))
+        records.append([out.status, out.reason, out.k_reached,
+                        None if out.model is None else out.model.render(),
+                        _levels(out.stats)])
+    assert Counter(tuple(r[:3]) for r in records) == RANDOM_OUTCOMES
+    assert _json_digest(records) == RANDOM_DIGEST
