@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .polyhedra import Polyhedron, _covered, _memoized, _nonempty, _project
+from .polyhedra import Polyhedron, _covered, _memoized, _project, _rename_rows
 from .syntax import (Atom, Clause, FALSE, PredRef, Program, canonical_params,
                      render_atom)
 
@@ -123,7 +123,8 @@ def _head_image(clause: Clause, chosen) -> Polyhedron | None:
     if rows is None:
         return None
     mapping = {v: p.name for v, p in zip(head_vars, canonical_params(len(head_vars)))}
-    return _nonempty(tuple(mapping.values()), [c.rename(mapping) for c in rows])
+    # head variables are distinct, so the renaming is injective
+    return Polyhedron._trusted(tuple(mapping.values()), _rename_rows(rows, mapping), True)
 
 
 def satisfies_clause(m: Model, clause: Clause) -> bool:

@@ -28,14 +28,19 @@ from .syntax import (ATMOST, EXACT, FALSE, FALSE_NAME, Atom, PredRef, Program,
                      Var, normalize_clause)
 from .terms import EQ, LE, Constraint
 
-# Symbols longest first, so that ``:-``, ``=<`` and ``>=`` are never split.
+# Symbols longest first, so that ``:-``, ``=<`` and ``>=`` are never split;
+# every character is matched by some group, ``bad`` the last.
 _TOKEN = re.compile(r"""
     (?P<skip>[ \t\r]+|%[^\n]*)
   | (?P<newline>\n)
   | (?P<SYM>:-|=<|>=|[()\[\],.=<>+\-*])
   | (?P<INT>[0-9]+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<VAR>[A-Z][A-Za-z0-9_]*)
+  | (?P<IDENT>[a-z][A-Za-z0-9_]*)
+  | (?P<underscore>_[A-Za-z0-9_]*)
+  | (?P<bad>.)
 """, re.VERBOSE)
+_LOOKAHEAD = 3  # the furthest ``_Parser.peek`` looks past the current token
 
 
 class ParseError(ValueError):
@@ -53,33 +58,35 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` in one ``_TOKEN.finditer`` pass, ending in EOF."""
     toks = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        col = pos - line_start + 1
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind, word, pos = m.lastgroup, m.group(), m.end()
+    line, line_start = 1, 0
+    new = tuple.__new__  # builds each ``Token`` without ``NamedTuple.__new__``
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
         if kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind == "word":
-            if word[0] == "_":
-                raise ParseError(f"identifier may not start with '_': {word}", line, col)
-            toks.append(Token("VAR" if word[0].isupper() else "IDENT", word, line, col))
-        elif kind != "skip":
-            toks.append(Token(kind, word, line, col))
-    toks.append(Token("EOF", "", line, pos - line_start + 1))
+            line, line_start = line + 1, m.end()
+            continue
+        word, col = m.group(), m.start() - line_start + 1
+        if kind == "underscore":
+            raise ParseError(f"identifier may not start with '_': {word}", line, col)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        toks.append(new(Token, (kind, word, line, col)))
+    toks.append(Token("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        toks = tokenize(text)
+        self.toks = toks + toks[-1:] * _LOOKAHEAD  # ``peek`` past the end reads EOF
         self.pos = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

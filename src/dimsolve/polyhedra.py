@@ -19,6 +19,20 @@ them with integer arithmetic, keeps each row in ``terms.normal_form``, and
 builds ``Constraint``s only for its result.  ``_prune`` drops trivial and
 dominated ``Constraint`` rows for polyhedra and regions.
 
+Rows are pruned once, where they are made.  ``Polyhedron(dims, rows)``
+prunes its rows and checks them against ``dims``; rows from outside the
+kernel (``Model.parse``, ``trees.tree_constraint``), widening's kept rows
+and the lifted hull's elimination output are built that way.
+``Polyhedron._trusted`` takes rows that ``_prune`` already left as they are
+and builds the polyhedron without pruning or checking them again: the
+result of ``_simplify`` (a sub-tuple of a pruned tuple), a projection's
+rows, the nested hull's outer operand, and the rows of ``rename`` and
+``models.head_image``.  A renaming injective on the rows' names keeps them
+distinct and non-constant, so only their order can change, and
+``_rename_rows`` sorts them again as ``_prune`` does.  A region piece is
+the region with one negation inserted by ``_insert``, which gives what
+``_prune`` would for that one row.
+
 ``_eliminate`` is one loop.  Every pass checks the deadline, prunes the
 packed rows with ``_prune_masked``, returns None on a contradiction and
 stops when no variable is left to eliminate; otherwise it takes one step,
@@ -58,7 +72,7 @@ each head a tuple of rows?  ``entails`` asks it with ``other``'s rows as the
 one head, ``entails_constraint``, ``_simplify`` and widening's swap test
 with the one row ``c``, and ``models.satisfies_clause`` with a clause image
 and the head facts.  It subtracts regions: a region ``r`` minus a head is
-the union of the pieces ``r`` with one negation of one head row, pruned;
+the union of the pieces ``r`` with one negation of one head row inserted;
 the pieces may overlap, and covered means that nothing satisfiable is left.
 A head row that ``r`` implies by ``_row_entails`` adds no piece: the row is
 a row of ``r``, or it is an inequality and a non-equality row of ``r`` with
@@ -127,6 +141,7 @@ no clock is read.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import gcd
@@ -236,6 +251,37 @@ def _prune(rows) -> tuple | None:
                 ineqs[lhs] = r
     # each group in the order of its ``Constraint`` tuples
     return tuple(sorted(eqs.values()) + sorted(ineqs.values()))
+
+
+def _insert(rows: tuple, c: Constraint) -> tuple | None:
+    """``_prune(rows + (c,))`` for pruned ``rows`` and a row ``c`` that is
+    not an equality, with ``rows`` itself returned when ``c`` adds nothing:
+    a true constant row, or one that an inequality of ``rows`` with the same
+    terms bounds at least as strongly.  A stronger such row takes that row's
+    place, and any other row is bisected into the inequalities, which are
+    sorted and hold one row per terms."""
+    terms, const, rel = c
+    if not terms:
+        return None if _is_false(const, rel) else rows
+    lo = 0
+    while lo < len(rows) and rows[lo][2] == EQ:
+        lo += 1
+    i = bisect_left(rows, (terms,), lo)  # ``(terms,)`` sorts first among its rows
+    if i < len(rows) and rows[i][0] == terms:
+        old = rows[i]
+        if (const, rel == LT) > (old[1], old[2] == LT):
+            return rows[:i] + (c,) + rows[i + 1:]
+        return rows
+    return rows[:i] + (c,) + rows[i:]
+
+
+def _rename_rows(rows: tuple, mapping: dict[str, str]) -> tuple:
+    """The pruned rows ``rows`` renamed by ``mapping``, injective on their
+    names, in ``_prune``'s order.  Distinct rows stay distinct and a row
+    with terms keeps them, so only the order can change: equalities first,
+    each group sorted."""
+    rows = [c.rename(mapping) for c in rows]
+    return tuple(sorted([r for r in rows if r[2] == EQ]) + sorted([r for r in rows if r[2] != EQ]))
 
 
 def _prune_masked(rows):
@@ -398,7 +444,8 @@ def _eliminate(rows: list[Constraint], elim: set[str]) -> list[Constraint] | Non
                 if len(rest) > _ROW_CAP:
                     raise RowCapExceeded("Fourier-Motzkin row cap exceeded")
         rows = rest
-    return [Constraint(tuple([(v, k) for v, k in zip(names, cs) if k]), const, rel)
+    return [tuple.__new__(Constraint, (tuple([(v, k) for v, k in zip(names, cs) if k]),
+                                       const, rel))
             for cs, const, rel, _ in rows]
 
 
@@ -524,7 +571,7 @@ def _covered(rows: tuple, heads: tuple) -> bool:
     Region subtraction: peel each head off the rows; covered iff nothing
     satisfiable remains.  Regions are pruned row tuples.  A region ``r``
     minus a head is the union of the pieces ``r`` with one negation of one
-    head row; the pieces may overlap.  A head row that ``r`` implies by
+    head row inserted (``_insert``); the pieces may overlap.  A head row that ``r`` implies by
     ``_row_entails`` adds no piece.  At the last head a satisfiable piece
     shows a point that no head holds, and the answer is False at once; with
     no heads it is ``not _sat(rows)``.  Empty rows leave no satisfiable
@@ -542,7 +589,7 @@ def _covered(rows: tuple, heads: tuple) -> bool:
                     if _row_entails(r, c):
                         continue  # every piece of ``c`` would be empty
                     for neg in c.negations():
-                        piece = _prune(r + (neg,))
+                        piece = _insert(r, neg)
                         created += 1
                         if created > _SPLIT_BUDGET:
                             raise SplitBudgetExceeded(
@@ -566,6 +613,12 @@ def _nonempty(dims, rows) -> "Polyhedron":
     return out
 
 
+def _check_distinct(dims: tuple) -> None:
+    if len(set(dims)) != len(dims):
+        repeated = next(d for i, d in enumerate(dims) if d in dims[:i])
+        raise DimensionMismatch(f"dimension {repeated!r} repeated")
+
+
 def _check_dims(terms, dims) -> None:
     bad = {v for v, _ in terms}.difference(dims)
     if bad:
@@ -573,15 +626,14 @@ def _check_dims(terms, dims) -> None:
 
 
 class Polyhedron:
-    """A conjunction of atomic constraints over an ordered variable tuple."""
+    """A conjunction of atomic constraints over an ordered variable tuple.
+    Its hash is computed on first use and kept in ``_hash``."""
 
-    __slots__ = ("dims", "constraints", "_sat")
+    __slots__ = ("dims", "constraints", "_sat", "_hash")
 
     def __init__(self, dims, constraints=()):
         self.dims = tuple(dims)
-        if len(set(self.dims)) != len(self.dims):
-            repeated = next(d for i, d in enumerate(self.dims) if d in self.dims[:i])
-            raise DimensionMismatch(f"dimension {repeated!r} repeated")
+        _check_distinct(self.dims)
         rows = _prune(constraints)
         if rows is None:
             self.constraints = (FALSE_CONSTRAINT,)
@@ -590,6 +642,16 @@ class Polyhedron:
             _check_dims((t for r in rows for t in r.terms), self.dims)
             self.constraints = rows
             self._sat = None
+
+    @staticmethod
+    def _trusted(dims: tuple, rows: tuple, sat: bool | None = None) -> "Polyhedron":
+        """The polyhedron over the distinct ``dims`` with the rows ``rows``,
+        which ``_prune`` left as they are and which mention only ``dims``,
+        built without pruning or checking them again; ``sat`` is what is
+        known of its emptiness (module docstring)."""
+        out = object.__new__(Polyhedron)
+        out.dims, out.constraints, out._sat = dims, rows, sat
+        return out
 
     @staticmethod
     def bottom(dims) -> "Polyhedron":
@@ -607,7 +669,10 @@ class Polyhedron:
         dims = tuple(mapping.get(d, d) for d in self.dims)
         if dims == self.dims:
             return self  # the rows mention only dims, so none changes
-        return Polyhedron(dims, [c.rename(mapping) for c in self.constraints])
+        _check_distinct(dims)
+        if self.constraints == (FALSE_CONSTRAINT,):
+            return Polyhedron.bottom(dims)
+        return Polyhedron._trusted(dims, _rename_rows(self.constraints, mapping))
 
     def entails_constraint(self, c: Constraint) -> bool:
         if self.constraints != (FALSE_CONSTRAINT,):  # bottom takes any c
@@ -623,8 +688,9 @@ class Polyhedron:
         keep = tuple(keep)
         if not set(keep) <= set(self.dims):
             raise DimensionMismatch("projection keeps unknown dimensions")
+        _check_distinct(keep)
         rows = _project(self.constraints, keep)
-        return Polyhedron.bottom(keep) if rows is None else _nonempty(keep, rows)
+        return Polyhedron.bottom(keep) if rows is None else Polyhedron._trusted(keep, rows, True)
 
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         if set(self.dims) != set(other.dims):
@@ -644,7 +710,7 @@ class Polyhedron:
             return self
         for inner, outer in ((self, other), (other, self)):
             if all(r.rel != LT for r in outer.constraints) and inner.entails(outer):
-                return _nonempty(self.dims, outer.constraints).simplify()
+                return Polyhedron._trusted(self.dims, outer.constraints, True).simplify()
         y = {d: f"{d}#1" for d in self.dims}
         z = {d: f"{d}#2" for d in self.dims}
         s1, s2 = "#s1", "#s2"
@@ -708,7 +774,7 @@ class Polyhedron:
             rest = tuple([k for k in kept if k != c])
             if _covered(rest, ((c,),)):
                 kept = rest
-        return _nonempty(self.dims, kept)
+        return Polyhedron._trusted(self.dims, kept, True)
 
     def eval_point(self, point: dict) -> bool:
         return all(c.eval_point(point) for c in self.constraints)
@@ -719,7 +785,11 @@ class Polyhedron:
                 and self.constraints == other.constraints)
 
     def __hash__(self):
-        return hash((self.dims, self.constraints))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.dims, self.constraints))
+            return self._hash
 
     def __repr__(self):
         return "{" + ",".join(repr(c) for c in self.constraints) + "}"

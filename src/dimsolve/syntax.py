@@ -140,11 +140,14 @@ def is_linear(p: Program) -> bool:
 
 
 _LETTERS = [chr(c) for c in range(ord("A"), ord("Z") + 1)]
+_LETTER_PARAMS = tuple(Var(x) for x in _LETTERS)
 
 
 def canonical_params(n: int) -> tuple[Var, ...]:
     """Canonical parameter tuple used for facts and fresh heads: the first
     ``n`` names of ``fresh_names``, A, ..., Z, V1, V2, ..."""
+    if n <= len(_LETTER_PARAMS):
+        return _LETTER_PARAMS[:n]
     return tuple(Var(x) for x in itertools.islice(fresh_names(set()), n))
 
 

@@ -12,7 +12,9 @@ raises ``TypeError``).
 
 ``Constraint.rename`` and ``negations`` skip the gcd: negating every number
 keeps it, and so does an injective renaming, which adds no two
-coefficients; a renamed equality may only need its signs flipped.
+coefficients; a renamed equality may only need its signs flipped.  They
+build their rows with ``tuple.__new__``, as ``polyhedra._eliminate`` does,
+which skips the Python-level ``NamedTuple.__new__`` of each row.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from typing import NamedTuple
 EQ = "="
 LE = "=<"
 LT = "<"
+
+_new = tuple.__new__  # ``_new(Constraint, (terms, const, rel))``: a row, built directly
 
 
 class Var(NamedTuple):
@@ -78,16 +82,18 @@ class Constraint(NamedTuple):
 
     def negations(self) -> list["Constraint"]:
         """Constraints whose disjunction is the complement of this one."""
-        neg = Constraint(tuple([(v, -c) for v, c in self.terms]), -self.const,
-                         LE if self.rel == LT else LT)
-        return [neg, Constraint(self.terms, self.const, LT)] if self.rel == EQ else [neg]
+        terms, const, rel = self
+        neg = _new(Constraint, (tuple([(v, -c) for v, c in terms]), -const,
+                                LE if rel == LT else LT))
+        return [neg, _new(Constraint, (terms, const, LT))] if rel == EQ else [neg]
 
     def rename(self, mapping: dict[str, str]) -> "Constraint":
         """The row over ``mapping``'s names; ``mapping`` is injective on it."""
-        terms = sorted([(mapping.get(v, v), c) for v, c in self.terms])
-        if self.rel == EQ and terms and terms[0][1] < 0:
-            return Constraint(tuple([(v, -c) for v, c in terms]), -self.const, EQ)
-        return Constraint(tuple(terms), self.const, self.rel)
+        terms, const, rel = self
+        terms = sorted([(mapping.get(v, v), c) for v, c in terms])
+        if rel == EQ and terms and terms[0][1] < 0:
+            return _new(Constraint, (tuple([(v, -c) for v, c in terms]), -const, EQ))
+        return _new(Constraint, (tuple(terms), const, rel))
 
     def eval_point(self, point: dict) -> bool:
         val = self.const + sum(c * point[v] for v, c in self.terms)

@@ -173,7 +173,9 @@ def render_tree(t: Node, depth: int = 0) -> str:
 
 def parse_tree(text: str) -> Node:
     """Parse the indented dump format back into a labeled tree.  Each level
-    is indented by two spaces; any other leading whitespace is an error."""
+    is indented by two spaces; any other leading whitespace is an error, and
+    so is an indented first line or a line more than one level below the
+    line before it."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -181,7 +183,12 @@ def parse_tree(text: str) -> Node:
         indent = len(raw) - len(raw.lstrip())
         if indent % 2 or raw[:indent] != " " * indent:
             raise ValueError(f"line {lineno}: indentation must use two spaces per level")
-        entries.append((indent // 2, raw.strip()))
+        depth = indent // 2
+        if depth > (entries[-1][0] + 1 if entries else 0):
+            raise ValueError(f"line {lineno}: " + (
+                "indented more than one level below the line before"
+                if entries else "the root line must not be indented"))
+        entries.append((depth, raw.strip()))
     if not entries:
         raise ValueError("empty tree dump")
 

@@ -132,6 +132,22 @@ def test_tab_indented_dim_dump_exit_one(tmp_path, capsys, indent):
     assert err == f"dimsolve: {f}: line 2: indentation must use two spaces per level\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c2\n    c1\n  c1\n", "line 2: indented more than one level below the line before"),
+    ("c2\n  c1\n  c2\n      c1\n", "line 4: indented more than one level below the line before"),
+    ("  c2\n  c1\n", "line 1: the root line must not be indented"),
+    ("# a comment\n\n  c1\n", "line 3: the root line must not be indented"),
+], ids=["two-levels-down", "two-levels-down-later", "indented-root", "indented-root-after-comment"])
+def test_skipped_level_dim_dump_exit_one(tmp_path, capsys, text, message):
+    # a line more than one level below the line before has no parent; it is
+    # rejected, not read as a child one level down
+    f = tmp_path / "skipped-level-tree.txt"
+    f.write_text(text)
+    code, out, err = run_cli(["dim", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"dimsolve: {f}: {message}\n"
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(["--max-k", "notanumber", "x.pl"], capsys)
     assert code == 1

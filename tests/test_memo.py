@@ -167,13 +167,17 @@ def test_known_sat_equals_a_fresh_sat():
 
 def test_entailment_builds_no_polyhedra(monkeypatch):
     # entailment is decided on rows: asking a polyhedron again builds
-    # nothing, and ``simplify`` builds only its result
+    # nothing, and ``simplify`` builds only its result, by either constructor
     built = []
-    init = Polyhedron.__init__
+    init, trusted = Polyhedron.__init__, Polyhedron._trusted
 
     def counting(self, *args):
         built.append(self)
         init(self, *args)
+
+    def counting_trusted(*args):
+        built.append(trusted(*args))
+        return built[-1]
     rng = random.Random(59)
     for block in (contextlib.nullcontext, memo):
         for _ in range(60):
@@ -184,6 +188,7 @@ def test_entailment_builds_no_polyhedra(monkeypatch):
                 q = _fresh(p)
                 with monkeypatch.context() as m:
                     m.setattr(Polyhedron, "__init__", counting)
+                    m.setattr(Polyhedron, "_trusted", staticmethod(counting_trusted))
                     assert [p.entails_constraint(c) for c in cands] == asked
                     assert built == []
                     s = q.simplify()

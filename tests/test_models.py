@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -11,7 +11,7 @@ from dimsolve.models import (Model, head_image, inductive, linearize, satisfies_
                              violations)
 from dimsolve.parser import parse
 from dimsolve.polyhedra import Polyhedron, SolverTimeout, SplitBudgetExceeded, memo
-from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, is_linear
+from dimsolve.syntax import FALSE, PredRef, Var, canonical_params, fresh_names, is_linear
 from dimsolve.terms import EQ
 
 from conftest import (C, grid_points, poly, random_constraint, random_poly,
@@ -100,14 +100,20 @@ def test_fact_whose_rows_hold_the_image_splits_nothing(monkeypatch):
 
 
 def count_constructions(monkeypatch) -> list:
-    """The polyhedra built from now on, in order."""
+    """The polyhedra built from now on, in order, by ``Polyhedron(...)`` or
+    by the trusted ``Polyhedron._trusted``."""
     built = []
-    init = Polyhedron.__init__
+    init, trusted = Polyhedron.__init__, Polyhedron._trusted
 
     def counted(self, *args):
         built.append(self)
         init(self, *args)
+
+    def counted_trusted(*args):
+        built.append(trusted(*args))
+        return built[-1]
     monkeypatch.setattr(Polyhedron, "__init__", counted)
+    monkeypatch.setattr(Polyhedron, "_trusted", staticmethod(counted_trusted))
     return built
 
 
@@ -198,6 +204,14 @@ def test_wide_fact_parameters_continue_past_z():
     assert text == f"w({', '.join(params)}) :- [A-V2=<0].\n"
     assert canonical_params(28)[-3:] == (Var("Z"), Var("V1"), Var("V2"))
     assert Model.parse(text) == m
+
+
+def test_canonical_params_are_the_first_fresh_names():
+    # the letters come from a constant tuple, the names after them from
+    # ``fresh_names``
+    for n in range(31):
+        names = list(islice(fresh_names(set()), n))
+        assert canonical_params(n) == tuple(Var(x) for x in names)
 
 
 def test_model_dedup_and_empty_drop():

@@ -1,4 +1,8 @@
+import glob
+import os
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,84 @@ def test_underscore_identifier_rejected():
     with pytest.raises(ParseError) as e:
         parse("p(X) :-\n  _q(X).")
     assert str(e.value) == "2:3: identifier may not start with '_': _q"
+
+
+# The tokenizer as one ``match`` per token, kept as the reference for the
+# ``finditer`` pass of ``parser.tokenize``.
+_REFERENCE_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|%[^\n]*)
+  | (?P<newline>\n)
+  | (?P<SYM>:-|=<|>=|[()\[\],.=<>+\-*])
+  | (?P<INT>[0-9]+)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+""", re.VERBOSE)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    toks = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, word, pos = m.lastgroup, m.group(), m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "word":
+            if word[0] == "_":
+                raise ParseError(f"identifier may not start with '_': {word}", line, col)
+            toks.append(Token("VAR" if word[0].isupper() else "IDENT", word, line, col))
+        elif kind != "skip":
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("EOF", "", line, pos - line_start + 1))
+    return toks
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "benchmarks", "**", "*.pl"), recursive=True)
+                 + glob.glob(os.path.join(ROOT, "perfbench", "programs", "*.pl")))
+
+ERROR_TEXTS = [
+    "p(X) :- X = \u00b2.", "p(X) :- X = \u0663.", "p(X) :- X = 1, caf\u00e9(X).",
+    "p(X) :-\n  _q(X).", "p(X) :- X = 1 $", "p(X) :- X = 1.\n\tq(Y) :- Y ! 2.",
+    "% only a comment", "p(X) :- X >= 1.\r\n_", "", "\n\n", "p(X).\n%x\n  @",
+]
+
+
+def test_tokenizer_matches_reference_loop():
+    texts = [Path(f).read_text() for f in SHIPPED]
+    assert len(texts) == 19
+    rng = random.Random(7)
+    texts += [render_program(random_program(rng)) for _ in range(150)]
+    texts += ERROR_TEXTS
+    texts += [FIB_SRC[:i] + "\u00e9" + FIB_SRC[i:] for i in range(0, len(FIB_SRC), 7)]
+    errors = 0
+    for text in texts:
+        expected = _tokens_or_error(reference_tokenize, text)
+        assert _tokens_or_error(tokenize, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert errors > len(ERROR_TEXTS)
+
+
+def test_parse_errors_match_reference_tokenizer(monkeypatch):
+    # every prefix of a program stops the parser somewhere else; the
+    # message and position do not depend on the tokenizer
+    def outcome(text):
+        try:
+            return render_program(parse(text))
+        except ParseError as e:
+            return str(e), e.line, e.col
+    texts = [FIB_SRC[:i] for i in range(len(FIB_SRC) + 1)]
+    texts += ["false(0)", "false(0) :- p[", "p(0)(", "p[1](A) :- X*", "q :- r(A, 3"]
+    new = [outcome(t) for t in texts]
+    monkeypatch.setattr("dimsolve.parser.tokenize", reference_tokenize)
+    assert [outcome(t) for t in texts] == new
+    assert sum(isinstance(x, tuple) for x in new) > len(FIB_SRC) // 2

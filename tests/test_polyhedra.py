@@ -23,7 +23,7 @@ from dimsolve.polyhedra import (DimensionMismatch, Polyhedron, SolverTimeout, _r
                                  memo)
 from dimsolve.terms import EQ, FALSE_CONSTRAINT as FALSE, LE, LT, Constraint, linear_combination
 
-from conftest import C, grid_points, poly, random_constraint, random_poly
+from conftest import C, grid_points, poly, random_constraint, random_poly, random_program
 
 # names that are prefixes of one another, and that sort around ``_`` and digits
 PREFIX_NAMES = ("A", "AB", "A_1", "_x")
@@ -500,10 +500,17 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
     # must find a point in each
     marked, subsets = [], []
     nonempty, covered = polyhedra._nonempty, polyhedra._covered
+    trusted = Polyhedron._trusted
 
     def recording(dims, rows):
         out = nonempty(dims, rows)
         marked.append((sys._getframe(1).f_code.co_name, out))
+        return out
+
+    def recording_trusted(dims, rows, sat=None):
+        out = trusted(dims, rows, sat)
+        if sat:  # built with ``sat`` known true
+            marked.append((sys._getframe(1).f_code.co_name, out))
         return out
 
     def recording_rows(rows, heads):
@@ -511,6 +518,7 @@ def test_polyhedra_marked_nonempty_are_nonempty(monkeypatch):
             subsets.append(rows)
         return covered(rows, heads)
     monkeypatch.setattr(polyhedra, "_nonempty", recording)
+    monkeypatch.setattr(Polyhedron, "_trusted", staticmethod(recording_trusted))
     monkeypatch.setattr(polyhedra, "_covered", recording_rows)
     rng = random.Random(37)
     dims = ("x", "y", "z")
@@ -1206,6 +1214,73 @@ def test_projection_exits_match_the_elimination(monkeypatch):
     # the hand case keeps both parallel rows, which elimination merges
     assert polyhedra._project(*hand[0]) == hand[0][0] and len(hand[0][0]) == 2
     assert expected[0] == polyhedra._prune([C({"A": 1, "B": 1}, -1)])
+
+
+# --- rows built once ---------------------------------------------------------
+
+def test_trusted_builds_equal_the_checked_constructor(fib, tree3, monkeypatch):
+    # every polyhedron built from rows the kernel already pruned has the rows
+    # ``Polyhedron(dims, rows)`` gives, in the same order, over distinct dims
+    trusted = Polyhedron._trusted
+    callers = Counter()
+
+    def checking(dims, rows, sat=None):
+        out = trusted(dims, rows, sat)
+        checked = Polyhedron(dims, rows)
+        assert out.constraints == checked.constraints and out.dims == checked.dims, (dims, rows)
+        assert sat is None or checked.sat() == sat, (dims, rows)
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return out
+    monkeypatch.setattr(Polyhedron, "_trusted", staticmethod(checking))
+    rng = random.Random(38)
+    dims = ("x", "y", "z")
+    for i in range(300):
+        a = random_poly(rng, dims, rng.randint(1, 5))
+        with memo() if i % 2 else contextlib.nullcontext():
+            a.simplify()
+            keep = rng.sample(dims, rng.randint(0, 3))
+            a.project(keep)
+            # an injective renaming, onto names that sort elsewhere
+            names = rng.sample(("x", "y", "z", "a", "w", "B", "x1"), 3)
+            a.rename(dict(zip(dims, names)))
+    for kind in ("point", "segment", "ray", "full") * 20:
+        inner, outer = _nested_case(rng, kind)
+        inner.hull(outer)
+        outer.hull(inner)
+    rng = random.Random(39)
+    for p in [fib, tree3] + [random_program(rng) for _ in range(20)]:
+        solve(p, Config(max_k=2))
+    assert min(callers[name] for name in ("_simplify", "project", "rename", "_head_image",
+                                          "_hull")) > 50, callers
+
+
+def _insertion_cases(rng, region):
+    """Rows to insert into the pruned ``region``: negations of random rows,
+    rows with the terms of each row of ``region`` and a bound one stronger,
+    as strong or one weaker, and constant rows, true and false."""
+    rows = [n for _ in range(3) for n in random_constraint(rng, ("x", "y", "z")).negations()]
+    for r in region:
+        rows += [Constraint(r.terms, r.const + d, rel) for d in (-1, 0, 1) for rel in (LE, LT)]
+    rows += [Constraint((), k, rel) for k in (-1, 0, 1) for rel in (LE, LT)]
+    return rows
+
+
+def test_region_piece_insertion_matches_prune():
+    rng = random.Random(40)
+    outcomes = Counter()
+    for _ in range(400):
+        region = polyhedra._prune([random_constraint(rng, ("x", "y", "z"))
+                                   for _ in range(rng.randint(0, 5))])
+        if region is None:
+            continue
+        for c in _insertion_cases(rng, region):
+            got, want = polyhedra._insert(region, c), polyhedra._prune(region + (c,))
+            assert got == want, (region, c)
+            if got == region:
+                assert got is region, (region, c)  # a row that adds nothing copies nothing
+            outcomes["none" if got is None else "same" if got == region else
+                     "longer" if len(got) > len(region) else "replaced"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 300, outcomes
 
 
 # --- deadline ------------------------------------------------------------
